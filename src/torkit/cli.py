@@ -18,7 +18,6 @@ from typing import Callable, Optional
 from .families import (
     FAMILIES,
     FamilySpec,
-    EvenIndexUnsupported,
     homfly_to_generalized,
     to_alexander,
     to_jones,
@@ -27,11 +26,13 @@ from .laurent import LaurentPoly, TorkitError, parse, to_json_obj
 from .qnumbers import (
     QNumberKind,
     q_number,
+    qp_number,
     verify_q_recurrence,
     verify_qp_recurrence,
 )
-from .report import CheckFailure, CheckReport
+from .report import CheckFailure, CheckReport, compare
 from .skein import (
+    InvalidTorusIndex,
     KnotStepPair,
     fit_ansatz,
     gen_full_sequence,
@@ -78,47 +79,16 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _checked_torus_value(spec: FamilySpec, n: int) -> LaurentPoly:
-    # Registry-driven so that verify's corrupt-fixture mode propagates.
-    if spec.closed_form is not None:
-        return spec.closed_form((n - 1) // 2)
-    return gen_odd_sequence(spec.knot_step, n, spec.name).entry(n)
-
-
-def _validate_odd(n: int, what: str = "--n") -> Optional[str]:
-    if n < 1:
-        return f"{what} must be a positive integer, got {n}"
-    if n % 2 == 0:
-        return (
-            f"{what}={n} names the two-component torus link T({n},2); its n=2 "
-            "base value is not defined by any family here, so even indices are "
-            "not supported"
-        )
-    return None
-
-
 def cmd_compute(args: argparse.Namespace) -> int:
-    problem = _validate_odd(args.n)
-    if problem:
-        return _usage_error(problem)
-    value = _checked_torus_value(FAMILIES[args.family], args.n)
-    record = OutputRecord(args.family, args.n, value, args.format)
-    print(record.render())
+    value = FAMILIES[args.family].value(args.n)
+    print(OutputRecord(args.family, args.n, value, args.format).render())
     return 0
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    problem = _validate_odd(args.n_max, "--n-max")
-    if problem:
-        return _usage_error(problem)
-    spec = FAMILIES[args.family]
-    if spec.closed_form is not None:
-        values = {n: spec.closed_form((n - 1) // 2) for n in range(1, args.n_max + 1, 2)}
-    else:
-        seq = gen_odd_sequence(spec.knot_step, args.n_max, spec.name)
-        values = {n: seq.entry(n) for n in range(1, args.n_max + 1, 2)}
-    for n in range(1, args.n_max + 1, 2):
-        record = OutputRecord(args.family, n, values[n], args.format)
+    seq = FAMILIES[args.family].sequence(args.n_max)
+    for n, value in seq.entries.items():
+        record = OutputRecord(args.family, n, value, args.format)
         if args.format == "json":
             print(record.render())
         else:
@@ -127,18 +97,13 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    problem = _validate_odd(args.n)
-    if problem:
-        return _usage_error(problem)
     key = (args.source, args.target)
     if key not in _CONVERSIONS:
         supported = ", ".join(f"{s}->{t}" for s, t in _CONVERSIONS)
         return _usage_error(
             f"no conversion from {args.source!r} to {args.target!r}; supported: {supported}"
         )
-    spec = FAMILIES[args.source]
-    value = _checked_torus_value(spec, args.n)
-    converted = _CONVERSIONS[key](value)
+    converted = _CONVERSIONS[key](FAMILIES[args.source].value(args.n))
     record = OutputRecord(f"{args.source}->{args.target}", args.n, converted, args.format)
     print(record.render())
     return 0
@@ -157,10 +122,6 @@ def cmd_qnum(args: argparse.Namespace) -> int:
 # -- the verification battery -------------------------------------------------
 
 
-def _report(name: str, checked: int, failures: list[CheckFailure]) -> CheckReport:
-    return CheckReport(name, checked, tuple(failures))
-
-
 def _guarded(name: str, body: Callable[[], CheckReport]) -> CheckReport:
     # A check that blows up should read as a failure, not a crash.
     try:
@@ -173,13 +134,12 @@ def _closed_vs_recurrence(spec: FamilySpec, n_max: int) -> CheckReport:
     name = f"closed-form-vs-recurrence[{spec.name}]"
 
     def body() -> CheckReport:
-        seq = gen_odd_sequence(spec.knot_step, n_max, spec.name)
-        failures = []
-        for n in range(1, n_max + 1, 2):
-            closed = spec.closed_form((n - 1) // 2)
-            if closed != seq.entry(n):
-                failures.append(CheckFailure(n, str(seq.entry(n)), str(closed)))
-        return _report(name, (n_max + 1) // 2, failures)
+        # The recurrence is the oracle; spec.sequence takes the closed form.
+        recurrence = gen_odd_sequence(spec.knot_step, n_max, spec.name)
+        closed = spec.sequence(n_max)
+        return compare(
+            name, ((n, value, closed.entry(n)) for n, value in recurrence.entries.items())
+        )
 
     return _guarded(name, body)
 
@@ -192,30 +152,20 @@ def _substitution_check(
     n_max: int,
 ) -> CheckReport:
     def body() -> CheckReport:
-        failures = []
-        for n in range(1, n_max + 1, 2):
-            lhs = mapping(_checked_torus_value(source, n))
-            rhs = _checked_torus_value(target, n)
-            if lhs != rhs:
-                failures.append(CheckFailure(n, str(lhs), str(rhs)))
-        return _report(name, (n_max + 1) // 2, failures)
+        lhs, rhs = source.sequence(n_max), target.sequence(n_max)
+        return compare(
+            name, ((n, mapping(value), rhs.entry(n)) for n, value in lhs.entries.items())
+        )
 
     return _guarded(name, body)
 
 
 def _qp_reduction_check(n_max: int) -> CheckReport:
-    from .qnumbers import qp_number
-
     name = "qp-number-reduces-to-q"
 
     def body() -> CheckReport:
-        failures = []
-        for n in range(0, n_max + 1):
-            lhs = to_alexander(qp_number(n))
-            rhs = q_number(n, "t")
-            if lhs != rhs:
-                failures.append(CheckFailure(n, str(lhs), str(rhs)))
-        return _report(name, n_max + 1, failures)
+        cases = ((n, to_alexander(qp_number(n)), q_number(n, "t")) for n in range(n_max + 1))
+        return compare(name, cases)
 
     return _guarded(name, body)
 
@@ -240,20 +190,14 @@ def _ansatz_check(spec: FamilySpec, n_max: int) -> CheckReport:
             failures.append(
                 CheckFailure(1, f"(a1, a2) = ({coeffs.a1}, {coeffs.a2})", f"({expect_a1}, {expect_a2})")
             )
-        return _report(name, (n_max + 1) // 2, failures)
+        return CheckReport(name, (n_max + 1) // 2, tuple(failures))
 
     return _guarded(name, body)
 
 
 def _interleave_check(spec: FamilySpec, n_max: int) -> CheckReport:
     name = f"interleave[{spec.name}]"
-
-    def body() -> CheckReport:
-        return dataclasses.replace(
-            verify_interleave(spec.skein, spec.hopf, n_max, name), name=name
-        )
-
-    return _guarded(name, body)
+    return _guarded(name, lambda: verify_interleave(spec.skein, spec.hopf, n_max, name))
 
 
 def _roundtrip_check(spec: FamilySpec) -> CheckReport:
@@ -267,7 +211,7 @@ def _roundtrip_check(spec: FamilySpec) -> CheckReport:
             failures.append(
                 CheckFailure(0, f"({again.k1}, {again.k2})", f"({k.k1}, {k.k2})")
             )
-        return _report(name, 1, failures)
+        return CheckReport(name, 1, tuple(failures))
 
     return _guarded(name, body)
 
@@ -280,15 +224,11 @@ def _skein_form_check(spec: FamilySpec, n_max: int) -> CheckReport:
         one = LaurentPoly.one(spec.context)
         seq = gen_full_sequence(spec.skein, one, base2, n_max)
         c_plus, c_minus, c_zero = spec.skein_form
-        failures = []
-        checked = 0
-        for n in range(3, n_max + 1):
-            checked += 1
-            lhs = c_plus * seq[n] + c_minus * seq[n - 2]
-            rhs = c_zero * seq[n - 1]
-            if lhs != rhs:
-                failures.append(CheckFailure(n, str(lhs), str(rhs)))
-        return _report(name, checked, failures)
+        cases = (
+            (n, c_plus * seq[n] + c_minus * seq[n - 2], c_zero * seq[n - 1])
+            for n in range(3, n_max + 1)
+        )
+        return compare(name, cases)
 
     return _guarded(name, body)
 
@@ -418,7 +358,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EvenIndexUnsupported as exc:
+    except InvalidTorusIndex as exc:
         return _usage_error(str(exc))
     except TorkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

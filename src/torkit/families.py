@@ -41,18 +41,19 @@ from .laurent import (
     ContextMismatch,
     LaurentPoly,
     Monomial,
-    QuarterExp,
-    TorkitError,
     VarContext,
     parse,
 )
 from .qnumbers import jones_number, q_number, qp_number
-from .skein import KnotStepPair, SkeinPair, gen_odd_sequence, l_to_k
-
-
-class EvenIndexUnsupported(TorkitError):
-    """T(n,2) with even n is a link, whose n=2 base value no family supplies."""
-
+from .skein import EvenIndexUnsupported  # noqa: F401  (re-exported)
+from .skein import (
+    KnotStepPair,
+    SkeinPair,
+    TorusSequence,
+    gen_odd_sequence,
+    l_to_k,
+    odd_index,
+)
 
 T_CTX = VarContext(("t",))
 QP_CTX = VarContext(("q", "p"))
@@ -78,11 +79,25 @@ class FamilySpec:
     closed_form: Optional[Callable[[int], LaurentPoly]] = None
     hopf: Optional[LaurentPoly] = None
 
+    def value(self, n: int) -> LaurentPoly:
+        """The T(n,2) value for odd n: the closed form where the family has
+        one, otherwise the knot-step recurrence."""
+        if self.closed_form is None:
+            return gen_odd_sequence(self.knot_step, n, self.name).entry(n)
+        return self.closed_form(odd_index(n))
+
+    def sequence(self, n_max: int) -> TorusSequence:
+        """Values for every odd n <= n_max, chosen as value() chooses."""
+        if self.closed_form is None:
+            return gen_odd_sequence(self.knot_step, n_max, self.name)
+        top = odd_index(n_max)
+        return TorusSequence(self.name, {2 * m + 1: self.closed_form(m) for m in range(top + 1)})
+
 
 def _invert_monomial(m: Monomial) -> Monomial:
     if m.coeff not in (1, -1):
         raise ValueError("only +/-1 monomials invert exactly")
-    return Monomial(tuple(QuarterExp(-e.quarters) for e in m.exps), m.coeff)
+    return Monomial(tuple(-q for q in m.quarters), m.coeff)
 
 
 def _build_family(
@@ -176,52 +191,31 @@ FAMILIES: dict[str, FamilySpec] = {
 }
 
 
-def _check_odd_index(n: int) -> int:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"torus index must be a positive integer, got {n!r}")
-    if n % 2 == 0:
-        raise EvenIndexUnsupported(
-            f"T({n},2) is a two-component link; no n=2 base value is defined, "
-            "so even indices need a caller-supplied gen_full_sequence"
-        )
-    return (n - 1) // 2
-
-
 def alexander_torus(n: int) -> LaurentPoly:
     """Alexander value of T(n,2), odd n: [m+1]_t - [m]_t with m = (n-1)/2."""
-    m = _check_odd_index(n)
-    return _alexander_closed(m)
+    return ALEXANDER.value(n)
 
 
 def generalized_alexander_torus(n: int) -> LaurentPoly:
     """Generalized Alexander value of T(n,2), odd n: [m+1]_{q,p} - qp [m]_{q,p}."""
-    m = _check_odd_index(n)
-    return _generalized_closed(m)
+    return GENERALIZED_ALEXANDER.value(n)
 
 
 def jones_torus(n: int) -> LaurentPoly:
-    """Jones value of T(n,2), odd n, generated by the knot-only recurrence."""
-    _check_odd_index(n)
-    return gen_odd_sequence(JONES.knot_step, n, "jones").entry(n)
+    """Jones value of T(n,2), odd n: [m+1]_{t^3,t} - t^4 [m]_{t^3,t}."""
+    return JONES.value(n)
 
 
 def homfly_torus(n: int) -> LaurentPoly:
     """Homfly value of T(n,2), odd n, generated by the knot-only recurrence."""
-    _check_odd_index(n)
-    return gen_odd_sequence(HOMFLY.knot_step, n, "homfly").entry(n)
+    return HOMFLY.value(n)
 
 
 def torus_invariant(family: str, n: int) -> LaurentPoly:
-    """Dispatch by family name as used by the command-line interface."""
-    builders = {
-        "alexander": alexander_torus,
-        "generalized-alexander": generalized_alexander_torus,
-        "jones": jones_torus,
-        "homfly": homfly_torus,
-    }
-    if family not in builders:
-        raise KeyError(f"unknown family {family!r}; choose from {sorted(builders)}")
-    return builders[family](n)
+    """The value of T(n,2) in the family registered under this name."""
+    if family not in FAMILIES:
+        raise KeyError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
+    return FAMILIES[family].value(n)
 
 
 def _require_context(f: LaurentPoly, context: VarContext, what: str) -> None:

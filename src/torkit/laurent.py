@@ -61,41 +61,6 @@ class ParseError(TorkitError):
         self.position = position
 
 
-@dataclass(frozen=True, order=True)
-class QuarterExp:
-    """An exponent stored as an integer count of quarter units.
-
-    The represented power is quarters / 4, so q^(1/2) has quarters=2 and
-    q^(-1) has quarters=-4.  Arithmetic is plain integer arithmetic on the
-    count.
-    """
-
-    quarters: int
-
-    def __add__(self, other: QuarterExp) -> QuarterExp:
-        return QuarterExp(self.quarters + other.quarters)
-
-    def __sub__(self, other: QuarterExp) -> QuarterExp:
-        return QuarterExp(self.quarters - other.quarters)
-
-    def __neg__(self) -> QuarterExp:
-        return QuarterExp(-self.quarters)
-
-    @property
-    def is_integral(self) -> bool:
-        return self.quarters % 4 == 0
-
-    @property
-    def is_half_integral(self) -> bool:
-        return self.quarters % 2 == 0
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.quarters, 4)
-
-    def __str__(self) -> str:
-        return str(self.as_fraction())
-
-
 _NAME_RE = re.compile(r"[A-Za-z_]\w*\Z")
 
 
@@ -142,10 +107,10 @@ class VarContext:
 
 @dataclass(frozen=True)
 class Monomial:
-    """A single term: one quarter-unit exponent per context variable and a
-    nonzero integer coefficient."""
+    """A single term: one exponent per context variable, counted in quarter
+    units (2 means the power 1/2), and a nonzero integer coefficient."""
 
-    exps: tuple[QuarterExp, ...]
+    quarters: tuple[int, ...]
     coeff: int
 
     def __post_init__(self):
@@ -154,14 +119,10 @@ class Monomial:
 
     @classmethod
     def from_quarters(cls, quarters: Iterable[int], coeff: int = 1) -> Monomial:
-        return cls(tuple(QuarterExp(q) for q in quarters), coeff)
-
-    @property
-    def quarters(self) -> tuple[int, ...]:
-        return tuple(e.quarters for e in self.exps)
+        return cls(tuple(quarters), coeff)
 
     def total_degree(self) -> Fraction:
-        return sum((e.as_fraction() for e in self.exps), Fraction(0))
+        return Fraction(sum(self.quarters), 4)
 
 
 # Internal term keys are raw quarter-count tuples; tuple comparison is
@@ -225,9 +186,9 @@ class LaurentPoly:
 
     @classmethod
     def from_monomial(cls, context: VarContext, mono: Monomial) -> LaurentPoly:
-        if len(mono.exps) != len(context):
+        if len(mono.quarters) != len(context):
             raise ContextMismatch(
-                f"monomial arity {len(mono.exps)} does not match context {context.names}"
+                f"monomial arity {len(mono.quarters)} does not match context {context.names}"
             )
         return cls(context, {mono.quarters: mono.coeff})
 
@@ -549,9 +510,9 @@ def _as_monomial(target: VarContext, value, who: str) -> Monomial:
         value = value.leading_monomial()
     if not isinstance(value, Monomial):
         raise TypeError(f"{who} must be a Monomial, single-term polynomial, or text")
-    if len(value.exps) != len(target):
+    if len(value.quarters) != len(target):
         raise ContextMismatch(
-            f"{who} has arity {len(value.exps)}, context {target.names} needs {len(target)}"
+            f"{who} has arity {len(value.quarters)}, context {target.names} needs {len(target)}"
         )
     return value
 
@@ -766,24 +727,34 @@ def parse(text: str, context: VarContext) -> LaurentPoly:
 def to_json_obj(f: LaurentPoly) -> dict:
     """JSON-ready dict: quarter-count exponents, decimal-string coefficients,
     terms in canonical order."""
+    terms = f.terms
     return {
         "vars": list(f.context.names),
         "exp_denominator": 4,
         "terms": [
-            {"exp": list(key), "coeff": str(f.terms[key])}
-            for key in sorted(f.terms, reverse=True)
+            {"exp": list(key), "coeff": str(terms[key])}
+            for key in sorted(terms, reverse=True)
         ],
     }
 
 
+_COEFF_RE = re.compile(r"-?[0-9]+")
+
+
 def from_json_obj(obj: Mapping) -> LaurentPoly:
+    """Decode the to_json_obj form strictly: exponents must be JSON integers
+    and coefficients plain decimal strings; anything else is a ValueError."""
     if obj.get("exp_denominator") != 4:
         raise ValueError("exp_denominator must be 4")
     context = VarContext(tuple(obj["vars"]))
     terms: dict = {}
     for entry in obj["terms"]:
-        key = tuple(int(q) for q in entry["exp"])
-        terms[key] = terms.get(key, 0) + int(entry["coeff"])
+        key, coeff = tuple(entry["exp"]), entry["coeff"]
+        if any(type(q) is not int for q in key):
+            raise ValueError(f"exponents must be integer quarter counts, got {entry['exp']!r}")
+        if not isinstance(coeff, str) or not _COEFF_RE.fullmatch(coeff):
+            raise ValueError(f"coefficient must be a decimal integer string, got {coeff!r}")
+        terms[key] = terms.get(key, 0) + int(coeff)
     return LaurentPoly(context, terms)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 
 from .laurent import LaurentPoly, VarContext, parse
-from .report import CheckFailure, CheckReport
+from .report import CheckReport, compare
 
 
 def q_number(n: int, var: str = "q") -> LaurentPoly:
@@ -66,13 +66,10 @@ def verify_q_recurrence(n_max: int) -> CheckReport:
     """Check [n+1] = (q + q^(-1))[n] - [n-1] exactly for 1 <= n <= n_max."""
     context = VarContext(("q",))
     step = parse("q + q^(-1)", context)
-    failures = []
-    for n in range(1, n_max + 1):
-        lhs = q_number(n + 1)
-        rhs = step * q_number(n) - q_number(n - 1)
-        if lhs != rhs:
-            failures.append(CheckFailure(n, str(lhs), str(rhs)))
-    return CheckReport("q-number-recurrence", n_max, tuple(failures))
+    cases = (
+        (n, q_number(n + 1), step * q_number(n) - q_number(n - 1)) for n in range(1, n_max + 1)
+    )
+    return compare("q-number-recurrence", cases)
 
 
 def verify_qp_recurrence(n_max: int) -> CheckReport:
@@ -80,10 +77,8 @@ def verify_qp_recurrence(n_max: int) -> CheckReport:
     context = VarContext(("q", "p"))
     step = parse("q + p", context)
     qp = parse("q*p", context)
-    failures = []
-    for n in range(1, n_max + 1):
-        lhs = qp_number(n + 1)
-        rhs = step * qp_number(n) - qp * qp_number(n - 1)
-        if lhs != rhs:
-            failures.append(CheckFailure(n, str(lhs), str(rhs)))
-    return CheckReport("qp-number-recurrence", n_max, tuple(failures))
+    cases = (
+        (n, qp_number(n + 1), step * qp_number(n) - qp * qp_number(n - 1))
+        for n in range(1, n_max + 1)
+    )
+    return compare("qp-number-recurrence", cases)

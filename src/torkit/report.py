@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -38,3 +39,18 @@ class CheckReport:
             return f"FAIL {self.name}: {f.note}"
         detail = f" [{f.note}]" if f.note else ""
         return f"FAIL {self.name}: first counterexample at n={f.n}: {f.lhs} != {f.rhs}{detail}"
+
+
+def compare(name: str, cases: Iterable[tuple[int, object, object]]) -> CheckReport:
+    """Decide lhs == rhs for every (n, lhs, rhs) case; one case per triple.
+
+    Cases are drawn lazily, so an exception raised while building one
+    propagates to the caller unchanged.
+    """
+    checked = 0
+    failures = []
+    for n, lhs, rhs in cases:
+        checked += 1
+        if lhs != rhs:
+            failures.append(CheckFailure(n, str(lhs), str(rhs)))
+    return CheckReport(name, checked, tuple(failures))

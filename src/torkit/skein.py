@@ -33,7 +33,30 @@ from .laurent import (
     exact_sqrt,
 )
 from .qnumbers import qp_number
-from .report import CheckFailure, CheckReport
+from .report import CheckReport, compare
+
+
+class InvalidTorusIndex(TorkitError, ValueError):
+    """A torus index that is not a positive int."""
+
+
+class EvenIndexUnsupported(InvalidTorusIndex):
+    """T(n,2) with even n is a link, whose n=2 base value no family supplies."""
+
+
+def odd_index(n: int) -> int:
+    """m = (n-1)/2 for an odd torus index n >= 1, the one check every index passes.
+
+    bool and other int look-alikes are rejected, not coerced.
+    """
+    if type(n) is not int or n < 1:
+        raise InvalidTorusIndex(f"torus index must be a positive integer, got {n!r}")
+    if n % 2 == 0:
+        raise EvenIndexUnsupported(
+            f"T({n},2) is a two-component link; no n=2 base value is defined, "
+            "so even indices need a caller-supplied gen_full_sequence"
+        )
+    return (n - 1) // 2
 
 
 class NotInvertible(TorkitError):
@@ -136,8 +159,7 @@ def k_to_l(pair: KnotStepPair) -> SkeinPair:
 
 def gen_odd_sequence(pair: KnotStepPair, n_max: int, label: str = "") -> TorusSequence:
     """Knot values for odd n <= n_max from the bases P(1) = 1, P(3) = k1 + k2."""
-    if n_max < 1 or n_max % 2 == 0:
-        raise ValueError("n_max must be an odd integer >= 1")
+    odd_index(n_max)
     entries: dict[int, LaurentPoly] = {1: LaurentPoly.one(pair.context)}
     if n_max >= 3:
         entries[3] = pair.k1 + pair.k2
@@ -227,14 +249,6 @@ def verify_interleave(
     gen_odd_sequence exactly when base2 satisfies l1*base2 = l1^2 + l2 - l2^2,
     the n=3 consistency condition.
     """
-    if n_max < 1 or n_max % 2 == 0:
-        raise ValueError("n_max must be an odd integer >= 1")
-    full = gen_full_sequence(pair, LaurentPoly.one(pair.context), base2, n_max)
     odd = gen_odd_sequence(l_to_k(pair), n_max)
-    failures = []
-    checked = 0
-    for n in range(1, n_max + 1, 2):
-        checked += 1
-        if full[n] != odd.entry(n):
-            failures.append(CheckFailure(n, str(full[n]), str(odd.entry(n))))
-    return CheckReport(name, checked, tuple(failures))
+    full = gen_full_sequence(pair, LaurentPoly.one(pair.context), base2, n_max)
+    return compare(name, ((n, full[n], value) for n, value in odd.entries.items()))

@@ -99,6 +99,12 @@ class TestTable:
         assert rc == 2
         assert err
 
+    def test_recurrence_family_rejects_nonpositive_bound(self, capsys):
+        rc, out, err = run(capsys, "table", "--family", "homfly", "--n-max", "0")
+        assert rc == 2
+        assert out == ""
+        assert err
+
 
 class TestQnum:
     def test_symmetric(self, capsys):
@@ -146,6 +152,15 @@ class TestConvert:
         )
         assert rc == 0
         assert out.strip() == "-q^2*p + q^2 - q*p^2 + q*p + p^2"
+
+    def test_even_index_is_usage_error(self, capsys):
+        rc, out, err = run(
+            capsys, "convert", "--from", "homfly",
+            "--to", "generalized-alexander", "--n", "4",
+        )
+        assert rc == 2
+        assert out == ""
+        assert "even" in err.lower()
 
     def test_unsupported_direction_is_usage_error(self, capsys):
         rc, _, err = run(

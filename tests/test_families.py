@@ -17,6 +17,7 @@ from torkit import (
     JONES,
     ContextMismatch,
     EvenIndexUnsupported,
+    InvalidTorusIndex,
     alexander_torus,
     gen_odd_sequence,
     generalized_alexander_torus,
@@ -102,10 +103,47 @@ class TestIndexValidation:
         with pytest.raises(ValueError):
             fn(0)
 
+    @pytest.mark.parametrize("family", sorted(COMPUTE))
+    @pytest.mark.parametrize("bad", [True, 3.0, "3"])
+    def test_non_int_rejected(self, family, bad):
+        # bool is an int subclass and True used to pass as n = 1
+        fn, _ = COMPUTE[family]
+        with pytest.raises(InvalidTorusIndex):
+            fn(bad)
+        with pytest.raises(InvalidTorusIndex):
+            torus_invariant(family, bad)
+
+    @pytest.mark.parametrize("bad", [True, 3.0, "3"])
+    def test_non_int_bound_rejected_by_recurrence(self, bad):
+        with pytest.raises(InvalidTorusIndex):
+            gen_odd_sequence(JONES.knot_step, bad)
+
     def test_dispatch(self):
         assert torus_invariant("jones", 3) == jones_torus(3)
         with pytest.raises(KeyError):
             torus_invariant("kauffman", 3)
+
+
+class TestValuePath:
+    @pytest.mark.parametrize("family", sorted(COMPUTE))
+    def test_sequence_matches_value(self, family):
+        spec = FAMILIES[family]
+        seq = spec.sequence(9)
+        assert sorted(seq.entries) == [1, 3, 5, 7, 9]
+        for n in (1, 3, 5, 7, 9):
+            assert seq.entry(n) == spec.value(n) == COMPUTE[family][0](n)
+
+    @pytest.mark.parametrize("family", sorted(COMPUTE))
+    def test_sequence_bound_validated(self, family):
+        with pytest.raises(EvenIndexUnsupported):
+            FAMILIES[family].sequence(8)
+        with pytest.raises(InvalidTorusIndex):
+            FAMILIES[family].sequence(0)
+
+    def test_jones_value_is_the_closed_form(self):
+        # jones_torus and the CLI take one path: the closed form, not the recurrence
+        assert JONES.closed_form is not None
+        assert jones_torus(21) == JONES.closed_form(10)
 
 
 class TestSkeinData:

@@ -22,7 +22,6 @@ from torkit import (
     NonIntegralExponent,
     NotAPerfectSquare,
     ParseError,
-    QuarterExp,
     UnknownVariable,
     VarContext,
     ZeroBase,
@@ -37,20 +36,6 @@ from torkit import (
 
 def P(text: str, ctx=CTX_QP) -> LaurentPoly:
     return parse(text, ctx)
-
-
-class TestQuarterExp:
-    def test_arithmetic_is_integer_arithmetic_on_quarters(self):
-        assert QuarterExp(2) + QuarterExp(3) == QuarterExp(5)
-        assert -QuarterExp(6) == QuarterExp(-6)
-        assert QuarterExp(8) - QuarterExp(2) == QuarterExp(6)
-
-    def test_integrality_flags(self):
-        assert QuarterExp(8).is_integral
-        assert not QuarterExp(2).is_integral
-        assert QuarterExp(2).is_half_integral
-        assert not QuarterExp(1).is_half_integral
-        assert QuarterExp(-6).as_fraction() == Fraction(-3, 2)
 
 
 class TestVarContext:
@@ -425,6 +410,28 @@ class TestJson:
         obj["exp_denominator"] = 2
         with pytest.raises(ValueError):
             from_json_obj(obj)
+
+    @staticmethod
+    def with_first_term(field, value):
+        obj = to_json_obj(P("q^(1/2) - 3*p"))
+        obj["terms"][0][field] = value
+        return obj
+
+    def test_fractional_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            from_json_obj(self.with_first_term("exp", [2.7, 0]))
+
+    def test_boolean_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            from_json(to_json(P("q")).replace("[4,0]", "[true,0]"))
+
+    def test_fractional_coefficient_rejected(self):
+        with pytest.raises(ValueError):
+            from_json_obj(self.with_first_term("coeff", 1.9))
+
+    def test_underscored_coefficient_rejected(self):
+        with pytest.raises(ValueError):
+            from_json_obj(self.with_first_term("coeff", "1_000"))
 
     def test_json_is_valid_json(self):
         parsed = json.loads(to_json(P("q - p")))
