@@ -23,26 +23,29 @@ from .laurent import LaurentPoly, VarContext, parse
 from .report import CheckReport, compare
 
 
+def _check_count(n: int, what: str) -> None:
+    """n must be an int >= 0; bool and other int look-alikes are rejected."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"{what} are defined for integers n >= 0, got {n!r}")
+
+
 def q_number(n: int, var: str = "q") -> LaurentPoly:
     """[n]_q as the explicit sum of n monomials q^(n-1-2j), j = 0..n-1."""
-    if n < 0:
-        raise ValueError("q-numbers are defined for n >= 0")
+    _check_count(n, "q-numbers")
     context = VarContext((var,))
     return LaurentPoly(context, {(4 * (n - 1 - 2 * j),): 1 for j in range(n)})
 
 
 def qp_number(n: int, variables: tuple[str, str] = ("q", "p")) -> LaurentPoly:
     """[n]_{q,p} as the explicit sum of n monomials q^(n-1-j) p^j."""
-    if n < 0:
-        raise ValueError("q,p-numbers are defined for n >= 0")
+    _check_count(n, "q,p-numbers")
     context = VarContext(tuple(variables))
     return LaurentPoly(context, {(4 * (n - 1 - j), 4 * j): 1 for j in range(n)})
 
 
 def jones_number(n: int, var: str = "t") -> LaurentPoly:
     """[n] for the parameter pair (t^3, t): the sum of t^(3(n-1-j)+j)."""
-    if n < 0:
-        raise ValueError("q,p-numbers are defined for n >= 0")
+    _check_count(n, "q,p-numbers")
     context = VarContext((var,))
     return LaurentPoly(context, {(4 * (3 * (n - 1 - j) + j),): 1 for j in range(n)})
 

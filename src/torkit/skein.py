@@ -176,8 +176,8 @@ def gen_full_sequence(
     base1 is the n=1 value (normally 1); base2 is the n=2 torus-link value,
     which the knot-only machinery never determines, so the caller owns it.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    if type(n_max) is not int or n_max < 1:
+        raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
     _require_same_context(base1, pair.l1, "bases and pair")
     _require_same_context(base2, pair.l1, "bases and pair")
     seq = {1: base1}

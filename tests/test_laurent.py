@@ -116,6 +116,23 @@ class TestArithmetic:
         assert a == b
 
 
+class TestConstructor:
+    def test_bool_exponent_rejected(self):
+        with pytest.raises(TypeError):
+            LaurentPoly(CTX_T, {(True,): 1})
+
+    def test_bool_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            LaurentPoly(CTX_T, {(4,): True})
+
+    def test_bool_operand_rejected(self):
+        f = P("t + 1", CTX_T)
+        for combine in (lambda: f + True, lambda: f * True, lambda: True - f):
+            with pytest.raises(TypeError, match="cannot combine LaurentPoly with bool"):
+                combine()
+        assert f != True  # noqa: E712
+
+
 class TestLeadingAndOrder:
     def test_leading_is_lex_greatest(self):
         f = P("q + p - q*p")
@@ -275,6 +292,13 @@ class TestExactSqrt:
     def test_long_square(self):
         f = P("q^2 - q + 3 - p^(-1) + 5*q*p^3", CTX_QP)
         assert exact_sqrt(f * f) == f
+
+    def test_formal_root_leaving_the_box_rejected(self):
+        # The formal root 1 + 2t^(-1) - 2t^(-2) + 4t^(-3) - ... has integer
+        # coefficients, so no divisibility test stops it; its second term
+        # already lies outside half of the exponent box [-1, 0].
+        with pytest.raises(NotAPerfectSquare, match="outside half the exponent box"):
+            exact_sqrt(P("1 + 4*t^(-1)", CTX_T))
 
 
 class TestEvalRational:

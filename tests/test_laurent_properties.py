@@ -6,7 +6,7 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from conftest import CTX_Q, CTX_QP, CTX_T, nonzero_polys, polys, rationals
+from conftest import CTX_AZ, CTX_Q, CTX_QP, CTX_T, nonzero_polys, polys, rationals, shaped_pairs
 from torkit import LaurentPoly, Monomial, exact_sqrt, from_json, parse, to_json
 
 
@@ -56,6 +56,65 @@ def test_sqrt_of_square_is_canonical_positive(f):
     assert root == f or root == -f
     assert root.leading_monomial().coeff > 0
     assert root * root == f * f
+
+
+@given(
+    st.sampled_from((CTX_T, CTX_QP)).flatmap(
+        lambda ctx: nonzero_polys(context=ctx, max_terms=12, quarter_bound=200)
+    ),
+    st.integers(0, 2 ** 64),
+)
+@settings(max_examples=200, deadline=None)
+def test_sqrt_recovers_sparse_roots(g, scale):
+    # Exponents spread over +-50 powers leave the half box mostly empty; the
+    # loop must still end exactly when the remainder does.  The scale takes
+    # coefficients past one machine word.
+    g = g * (scale + 1)
+    root = exact_sqrt(g * g)
+    assert root == g or root == -g
+
+
+def assert_canonical(f: LaurentPoly) -> None:
+    """What trusted construction assumes of every result the kernel builds."""
+    assert all(c != 0 for c in f.terms.values())
+    assert LaurentPoly(f.context, f.terms) == f
+
+
+@given(polys(), polys(), st.integers(0, 3))
+def test_ring_results_are_canonical(f, g, e):
+    for h in (f + g, f - g, -f, 1 - f, f * g, f ** e):
+        assert_canonical(h)
+
+
+@given(shaped_pairs())
+@settings(max_examples=100, deadline=None)
+def test_products_of_every_shape_are_canonical(pair):
+    f, g = pair
+    assert_canonical(f * g)
+    assert_canonical(f + g)
+
+
+@given(polys(), st.integers(-2, 2), st.integers(-2, 2))
+def test_substitute_monomial_results_are_canonical(f, a, b):
+    # q -> t^a, p -> t^b merges terms, and cancellations follow.
+    assert_canonical(f.substitute_monomial(CTX_T, {"q": f"t^{a}", "p": f"t^{b}"}))
+
+
+def whole_powers(lo: int, hi: int):
+    return st.integers(lo, hi).map(lambda k: 4 * k)
+
+
+# z is assigned a binomial, so it takes only nonnegative whole powers.
+@given(st.lists(st.tuples(st.tuples(whole_powers(-2, 2), whole_powers(0, 4)), st.integers(-9, 9))))
+def test_substitute_poly_results_are_canonical(term_list):
+    f = LaurentPoly(CTX_AZ, term_list)
+    assignments = {"a": "q^(1/4)*p^(1/4)", "z": "q^(1/4)*p^(-1/4) - q^(-1/4)*p^(1/4)"}
+    assert_canonical(f.substitute_poly(CTX_QP, assignments))
+
+
+@given(nonzero_polys(max_terms=5, quarter_bound=12))
+def test_sqrt_results_are_canonical(f):
+    assert_canonical(exact_sqrt(f * f))
 
 
 @given(polys())

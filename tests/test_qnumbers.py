@@ -58,6 +58,11 @@ class TestQNumber:
         with pytest.raises(ValueError):
             q_number(-1)
 
+    def test_non_int_index_rejected(self):
+        for n in (True, 2.0):
+            with pytest.raises(ValueError):
+                q_number(n)
+
 
 class TestQPNumber:
     def test_first_values(self):
@@ -89,6 +94,11 @@ class TestQPNumber:
             for m in qp_number(n).monomials():
                 assert m.total_degree() == n - 1
 
+    def test_non_int_index_rejected(self):
+        for n in (True, 2.0):
+            with pytest.raises(ValueError):
+                qp_number(n)
+
     def test_reduces_to_symmetric_q_number(self):
         # p -> q^(-1) turns [n]_{q,p} into [n]_q (written in t here)
         for n in range(0, 30):
@@ -100,6 +110,11 @@ class TestJonesNumber:
         assert jones_number(1) == parse("1", CTX_T)
         assert jones_number(2) == parse("t^3 + t", CTX_T)
         assert jones_number(3) == parse("t^6 + t^4 + t^2", CTX_T)
+
+    def test_non_int_index_rejected(self):
+        for n in (True, 2.0):
+            with pytest.raises(ValueError):
+                jones_number(n)
 
     def test_is_qp_number_at_t3_t(self):
         for n in range(0, 20):

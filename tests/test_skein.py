@@ -134,6 +134,13 @@ class TestSequences:
         assert seq[3] == parse("t - 1 + t^(-1)", CTX_T)
         assert seq[5] == parse("t^2 - t + 1 - t^(-1) + t^(-2)", CTX_T)
 
+    def test_full_sequence_rejects_non_int_bound(self):
+        pair = sp(*ALEX_L, CTX_T)
+        one = LaurentPoly.one(CTX_T)
+        for n_max in (True, 3.0):
+            with pytest.raises(ValueError):
+                gen_full_sequence(pair, one, one, n_max)
+
     def test_full_sequence_generalized_has_no_consistent_base(self):
         # The generalized pair admits no polynomial n=2 value: the n=3
         # consistency condition l1*base2 = l1^2 + l2 - l2^2 has no Laurent
