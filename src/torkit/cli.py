@@ -39,6 +39,7 @@ from .skein import (
     gen_odd_sequence,
     k_to_l,
     l_to_k,
+    odd_index,
     solve_parameters,
     verify_interleave,
 )
@@ -295,8 +296,9 @@ def _corrupted_registry(family: str) -> dict[str, FamilySpec]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.n_max < 3 or args.n_max % 2 == 0:
-        return _usage_error(f"--n-max must be an odd integer >= 3, got {args.n_max}")
+    odd_index(args.n_max)
+    if args.n_max < 3:
+        return _usage_error(f"--n-max must be at least 3, got {args.n_max}: fit_ansatz needs T(3,2)")
     registry = _corrupted_registry(args.corrupt_family) if args.corrupt_family else None
     reports = run_verification(args.n_max, registry)
     for report in reports:

@@ -41,6 +41,7 @@ from .laurent import (
     ContextMismatch,
     LaurentPoly,
     Monomial,
+    Substitution,
     VarContext,
     parse,
 )
@@ -223,16 +224,26 @@ def _require_context(f: LaurentPoly, context: VarContext, what: str) -> None:
         raise ContextMismatch(f"{what} expects variables {context.names}, got {f.context.names}")
 
 
+# Compiled once, so homfly_to_generalized keeps the powers of z it builds.
+_TO_ALEXANDER = Substitution(QP_CTX, T_CTX, {"q": "t", "p": "t^(-1)"})
+_TO_JONES = Substitution(QP_CTX, T_CTX, {"q": "t^3", "p": "t"})
+_HOMFLY_TO_GENERALIZED = Substitution(
+    AZ_CTX,
+    QP_CTX,
+    {"a": "q^(1/4)*p^(1/4)", "z": "q^(1/4)*p^(-1/4) - q^(-1/4)*p^(1/4)"},
+)
+
+
 def to_alexander(f: LaurentPoly) -> LaurentPoly:
     """Specialize p -> q^(-1); the surviving axis is written t."""
     _require_context(f, QP_CTX, "to_alexander")
-    return f.substitute_monomial(T_CTX, {"q": "t", "p": "t^(-1)"})
+    return f.substitute_monomial(T_CTX, _TO_ALEXANDER)
 
 
 def to_jones(f: LaurentPoly) -> LaurentPoly:
     """Specialize (q, p) -> (t^3, t)."""
     _require_context(f, QP_CTX, "to_jones")
-    return f.substitute_monomial(T_CTX, {"q": "t^3", "p": "t"})
+    return f.substitute_monomial(T_CTX, _TO_JONES)
 
 
 def homfly_to_generalized(f: LaurentPoly) -> LaurentPoly:
@@ -242,10 +253,4 @@ def homfly_to_generalized(f: LaurentPoly) -> LaurentPoly:
     nonnegative powers of z; torus-knot homfly values do.
     """
     _require_context(f, AZ_CTX, "homfly_to_generalized")
-    return f.substitute_poly(
-        QP_CTX,
-        {
-            "a": "q^(1/4)*p^(1/4)",
-            "z": "q^(1/4)*p^(-1/4) - q^(-1/4)*p^(1/4)",
-        },
-    )
+    return f.substitute_poly(QP_CTX, _HOMFLY_TO_GENERALIZED)

@@ -7,7 +7,7 @@ lexicographic on the exponent tuple (first variable's quarters, then the
 second's); it fixes printing order, JSON term order, and the leading term
 used to normalize the sign of exact square roots.
 
-All values are immutable after construction and every operation is a pure
+Polynomials are immutable after construction and every operation is a pure
 function of its inputs, so polynomials can be shared freely across threads.
 """
 
@@ -125,11 +125,8 @@ class Monomial:
         return Fraction(sum(self.quarters), 4)
 
 
-# Internal term keys are raw quarter-count tuples; tuple comparison is
-# exactly the lexicographic order the canonical term order needs.
-_Quarters = "tuple[int, ...]"
-
 PolyLike = Union["LaurentPoly", int]
+Assignments = Union[Mapping[str, object], "Substitution"]
 
 
 class LaurentPoly:
@@ -327,137 +324,29 @@ class LaurentPoly:
 
     # -- substitution ----------------------------------------------------------
 
-    def _monomial_assignment(self, target: VarContext, name: str, value) -> Monomial:
-        mono = _as_monomial(target, value, f"assignment for {name!r}")
-        if mono.coeff not in (1, -1):
-            raise ValueError(
-                f"assignment for {name!r} must have coefficient +1 or -1, got {mono.coeff}"
-            )
-        return mono
-
-    def substitute_monomial(
-        self, target: VarContext, assignments: Mapping[str, object]
-    ) -> LaurentPoly:
+    def substitute_monomial(self, target: VarContext, assignments: Assignments) -> LaurentPoly:
         """Map every variable to a single +/-1 monomial in the target context.
 
         Exponents combine in quarter units; a result finer than quarters, or a
         -1 sign raised to a fractional power, raises NonIntegralExponent.
         Assignments may be Monomial values, single-term polynomials, or text
-        parsed in the target context.
+        parsed in the target context, or a compiled Substitution.
         """
-        maps = []
-        for name in self._context:
-            if name not in assignments:
-                raise MissingAssignment(f"no assignment for variable {name!r}")
-            mono = self._monomial_assignment(target, name, assignments[name])
-            maps.append((mono.coeff, mono.quarters))
-        for name in assignments:
-            if name not in self._context:
-                raise UnknownVariable(f"assignment for {name!r}, which is not in {self._context.names}")
-        out: dict = {}
-        for exps, coeff in self._terms.items():
-            vec = [0] * len(target)
-            c = coeff
-            for e, (sign, mexps) in zip(exps, maps):
-                if e == 0:
-                    continue
-                for j, me in enumerate(mexps):
-                    num = e * me
-                    if num % 4:
-                        raise NonIntegralExponent(
-                            "substitution would need an exponent finer than quarter units"
-                        )
-                    vec[j] += num // 4
-                if sign < 0:
-                    if e % 4:
-                        raise NonIntegralExponent(
-                            "sign -1 cannot be raised to a fractional power"
-                        )
-                    if (e // 4) % 2:
-                        c = -c
-            key = tuple(vec)
-            out[key] = out.get(key, 0) + c
-        return LaurentPoly._make(target, {k: v for k, v in out.items() if v})
+        if not isinstance(assignments, Substitution):
+            units = {name: _unit_monomial(target, name, assignments) for name in self._context}
+            assignments = Substitution(self._context, target, {**assignments, **units})
+        return assignments._apply(self, target, units_only=True)
 
-    def substitute_poly(
-        self, target: VarContext, assignments: Mapping[str, object]
-    ) -> LaurentPoly:
+    def substitute_poly(self, target: VarContext, assignments: Assignments) -> LaurentPoly:
         """Map variables to arbitrary polynomials in the target context.
 
         A variable assigned a multi-term polynomial (or a monomial whose
         coefficient is not +/-1) must appear with nonnegative integer
         exponents only; single +/-1 monomials may carry any exponent.
         """
-        plans = []
-        for name in self._context:
-            if name not in assignments:
-                raise MissingAssignment(f"no assignment for variable {name!r}")
-            value = assignments[name]
-            if isinstance(value, str):
-                value = parse(value, target)
-            if isinstance(value, Monomial):
-                value = LaurentPoly.from_monomial(target, value)
-            if not isinstance(value, LaurentPoly):
-                raise TypeError(f"assignment for {name!r} must be a polynomial")
-            if value.context != target:
-                raise ContextMismatch(
-                    f"assignment for {name!r} lives in {value.context.names}, not {target.names}"
-                )
-            if value.num_terms == 1 and value.leading_monomial().coeff in (1, -1):
-                plans.append((name, "mono", value.leading_monomial()))
-            else:
-                plans.append((name, "poly", value))
-        for name in assignments:
-            if name not in self._context:
-                raise UnknownVariable(f"assignment for {name!r}, which is not in {self._context.names}")
-        power_cache: dict = {}
-
-        def poly_power(name: str, g: LaurentPoly, k: int) -> LaurentPoly:
-            key = (name, k)
-            if key not in power_cache:
-                power_cache[key] = g ** k
-            return power_cache[key]
-
-        total: dict = {}
-        get = total.get
-        for exps, coeff in self._terms.items():
-            vec = [0] * len(target)
-            c = coeff
-            factors = []
-            for e, (name, kind, data) in zip(exps, plans):
-                if e == 0:
-                    continue
-                if kind == "mono":
-                    for j, me in enumerate(data.quarters):
-                        num = e * me
-                        if num % 4:
-                            raise NonIntegralExponent(
-                                "substitution would need an exponent finer than quarter units"
-                            )
-                        vec[j] += num // 4
-                    if data.coeff < 0:
-                        if e % 4:
-                            raise NonIntegralExponent(
-                                "sign -1 cannot be raised to a fractional power"
-                            )
-                        if (e // 4) % 2:
-                            c = -c
-                else:
-                    if e < 0:
-                        raise NegativePowerOfPolynomial(
-                            f"{name!r} appears with a negative exponent but is assigned a general polynomial"
-                        )
-                    if e % 4:
-                        raise NonIntegralExponent(
-                            f"{name!r} appears with a fractional exponent but is assigned a general polynomial"
-                        )
-                    factors.append(poly_power(name, data, e // 4))
-            piece = LaurentPoly._make(target, {tuple(vec): c})
-            for f in factors:
-                piece = piece * f
-            for key, v in piece._terms.items():
-                total[key] = get(key, 0) + v
-        return LaurentPoly._make(target, {k: v for k, v in total.items() if v})
+        if not isinstance(assignments, Substitution):
+            assignments = Substitution(self._context, target, assignments)
+        return assignments._apply(self, target)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -675,14 +564,123 @@ def _render_varpow(name: str, quarters: int) -> str:
     return f"{name}^({quarters // g}/{4 // g})"
 
 
-def _as_monomial(target: VarContext, value, who: str) -> Monomial:
+# -- compiled substitution ---------------------------------------------------
+
+
+class Substitution:
+    """Values in `target` for the variables of `source`, parsed and checked
+    once, for substitute_poly or substitute_monomial in place of a mapping.
+    A variable assigned a +/-1 monomial (a "mono" plan) takes any exponent;
+    one assigned anything else (a "poly" plan) takes whole exponents >= 0,
+    and each power of it is built once and kept, finished, for the object's life.
+    """
+
+    __slots__ = ("source", "target", "_plans")
+
+    def __init__(self, source: VarContext, target: VarContext, assignments: Mapping[str, object]):
+        self.source, self.target = source, target
+        # Per variable (name, sign, shifts, powers); a mono plan has powers None.
+        self._plans = []
+        for name in source:
+            if name not in assignments:
+                raise MissingAssignment(f"no assignment for variable {name!r}")
+            value = assignments[name]
+            if isinstance(value, str):
+                value = parse(value, target)
+            if isinstance(value, Monomial):
+                value = LaurentPoly.from_monomial(target, value)
+            if not isinstance(value, LaurentPoly):
+                raise TypeError(f"assignment for {name!r} must be a polynomial")
+            if value.context != target:
+                raise ContextMismatch(
+                    f"assignment for {name!r} lives in {value.context.names}, not {target.names}"
+                )
+            ((key, sign),) = value._terms.items() if value.num_terms == 1 else (((), 0),)
+            if sign in (1, -1):
+                self._plans.append((name, sign, tuple((j, q) for j, q in enumerate(key) if q), None))
+            else:
+                self._plans.append((name, None, None, {1: value, 2: value * value}))
+        for name in assignments:
+            if name not in source:
+                raise UnknownVariable(f"assignment for {name!r}, which is not in {source.names}")
+
+    def _apply(self, f: LaurentPoly, target: VarContext, units_only: bool = False) -> LaurentPoly:
+        """f with each term's mono shifts applied and its poly powers scaled into one sum."""
+        if (f.context, target) != (self.source, self.target):
+            raise ContextMismatch(f"substitution maps {self.source.names} to {self.target.names}")
+        for name, _, _, powers in self._plans:
+            if units_only and powers is not None:
+                _unit_monomial(target, name, {name: powers[1]})  # raises: not a +/-1 monomial
+        plans, width = self._plans, len(target)
+        total: dict = {}
+        get = total.get
+        for exps, c in f._terms.items():
+            vec = [0] * width
+            power = None
+            for e, (name, sign, shifts, powers) in zip(exps, plans):
+                if e == 0:
+                    continue
+                if powers is None:
+                    for j, me in shifts:
+                        num = e * me
+                        if num % 4:
+                            raise NonIntegralExponent(
+                                "substitution would need an exponent finer than quarter units"
+                            )
+                        vec[j] += num // 4
+                    if sign < 0:
+                        if e % 4:
+                            raise NonIntegralExponent("sign -1 cannot be raised to a fractional power")
+                        if (e // 4) % 2:
+                            c = -c
+                    continue
+                if e < 0:
+                    raise NegativePowerOfPolynomial(
+                        f"{name!r} appears with a negative exponent but is assigned a general polynomial"
+                    )
+                if e % 4:
+                    raise NonIntegralExponent(
+                        f"{name!r} appears with a fractional exponent but is assigned a general polynomial"
+                    )
+                g = _power(powers, e // 4)
+                power = g if power is None else power * g
+            if power is None:
+                key = tuple(vec)
+                total[key] = get(key, 0) + c
+            elif width == 1:
+                (s,) = vec
+                for (y,), v in power._terms.items():
+                    key = (y + s,)
+                    total[key] = get(key, 0) + c * v
+            else:
+                s0, s1 = vec
+                for (y0, y1), v in power._terms.items():
+                    key = (y0 + s0, y1 + s1)
+                    total[key] = get(key, 0) + c * v
+        return LaurentPoly._make(target, {k: v for k, v in total.items() if v})
+
+
+def _power(powers: dict, k: int) -> LaurentPoly:
+    """g^k, k >= 1, from a table holding g and g^2.  A missing power is built
+    from the nearest one of k's parity by steps of g^2, each kept."""
+    j = k
+    while j not in powers:
+        j -= 2
+    for j in range(j, k, 2):
+        powers[j + 2] = powers[j] * powers[2]
+    return powers[k]
+
+
+def _unit_monomial(target: VarContext, name: str, assignments: Mapping[str, object]) -> Monomial:
+    """The +/-1 monomial in `target` that substitute_monomial assigns to name."""
+    if name not in assignments:
+        raise MissingAssignment(f"no assignment for variable {name!r}")
+    value, who = assignments[name], f"assignment for {name!r}"
     if isinstance(value, str):
         value = parse(value, target)
     if isinstance(value, LaurentPoly):
         if value.context != target:
-            raise ContextMismatch(
-                f"{who} lives in {value.context.names}, not {target.names}"
-            )
+            raise ContextMismatch(f"{who} lives in {value.context.names}, not {target.names}")
         if value.num_terms != 1:
             raise ValueError(f"{who} must be a single monomial")
         value = value.leading_monomial()
@@ -692,6 +690,8 @@ def _as_monomial(target: VarContext, value, who: str) -> Monomial:
         raise ContextMismatch(
             f"{who} has arity {len(value.quarters)}, context {target.names} needs {len(target)}"
         )
+    if value.coeff not in (1, -1):
+        raise ValueError(f"{who} must have coefficient +1 or -1, got {value.coeff}")
     return value
 
 

@@ -29,25 +29,31 @@ def _check_count(n: int, what: str) -> None:
         raise ValueError(f"{what} are defined for integers n >= 0, got {n!r}")
 
 
+# The default variables' contexts; the sums below build their terms directly.
+_Q_CTX = VarContext(("q",))
+_QP_CTX = VarContext(("q", "p"))
+_T_CTX = VarContext(("t",))
+
+
 def q_number(n: int, var: str = "q") -> LaurentPoly:
     """[n]_q as the explicit sum of n monomials q^(n-1-2j), j = 0..n-1."""
     _check_count(n, "q-numbers")
-    context = VarContext((var,))
-    return LaurentPoly(context, {(4 * (n - 1 - 2 * j),): 1 for j in range(n)})
+    context = _Q_CTX if var == "q" else VarContext((var,))
+    return LaurentPoly._make(context, {(4 * (n - 1 - 2 * j),): 1 for j in range(n)})
 
 
 def qp_number(n: int, variables: tuple[str, str] = ("q", "p")) -> LaurentPoly:
     """[n]_{q,p} as the explicit sum of n monomials q^(n-1-j) p^j."""
     _check_count(n, "q,p-numbers")
-    context = VarContext(tuple(variables))
-    return LaurentPoly(context, {(4 * (n - 1 - j), 4 * j): 1 for j in range(n)})
+    context = _QP_CTX if tuple(variables) == ("q", "p") else VarContext(tuple(variables))
+    return LaurentPoly._make(context, {(4 * (n - 1 - j), 4 * j): 1 for j in range(n)})
 
 
 def jones_number(n: int, var: str = "t") -> LaurentPoly:
     """[n] for the parameter pair (t^3, t): the sum of t^(3(n-1-j)+j)."""
     _check_count(n, "q,p-numbers")
-    context = VarContext((var,))
-    return LaurentPoly(context, {(4 * (3 * (n - 1 - j) + j),): 1 for j in range(n)})
+    context = _T_CTX if var == "t" else VarContext((var,))
+    return LaurentPoly._make(context, {(4 * (3 * (n - 1 - j) + j),): 1 for j in range(n)})
 
 
 class QNumberKind(enum.Enum):
@@ -67,8 +73,7 @@ class QNumberKind(enum.Enum):
 
 def verify_q_recurrence(n_max: int) -> CheckReport:
     """Check [n+1] = (q + q^(-1))[n] - [n-1] exactly for 1 <= n <= n_max."""
-    context = VarContext(("q",))
-    step = parse("q + q^(-1)", context)
+    step = parse("q + q^(-1)", _Q_CTX)
     cases = (
         (n, q_number(n + 1), step * q_number(n) - q_number(n - 1)) for n in range(1, n_max + 1)
     )
@@ -77,9 +82,8 @@ def verify_q_recurrence(n_max: int) -> CheckReport:
 
 def verify_qp_recurrence(n_max: int) -> CheckReport:
     """Check [n+1] = (q + p)[n] - qp [n-1] exactly for 1 <= n <= n_max."""
-    context = VarContext(("q", "p"))
-    step = parse("q + p", context)
-    qp = parse("q*p", context)
+    step = parse("q + p", _QP_CTX)
+    qp = parse("q*p", _QP_CTX)
     cases = (
         (n, qp_number(n + 1), step * qp_number(n) - qp * qp_number(n - 1))
         for n in range(1, n_max + 1)

@@ -15,8 +15,9 @@ from pathlib import Path
 import pytest
 
 from conftest import CTX_QP, CTX_T
-from torkit import parse, to_json_obj
+from torkit import InvalidTorusIndex, parse, to_json_obj
 from torkit.cli import main
+from torkit.skein import odd_index
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -204,6 +205,20 @@ class TestVerify:
         rc, _, err = run(capsys, "verify", "--n-max", "8")
         assert rc == 2
         assert err
+
+    def test_even_bound_reports_the_index_check(self, capsys):
+        rc, out, err = run(capsys, "verify", "--n-max", "8")
+        with pytest.raises(InvalidTorusIndex) as info:
+            odd_index(8)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {info.value}\n"
+
+    def test_bound_of_one_is_usage_error_naming_the_trefoil(self, capsys):
+        rc, out, err = run(capsys, "verify", "--n-max", "1")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and "T(3,2)" in err
 
 
 class TestSubprocess:

@@ -191,6 +191,11 @@ class TestSubstitutions:
         assert to_jones(g) == jones_torus(n)
         assert homfly_to_generalized(homfly_torus(n)) == g
 
+    @pytest.mark.parametrize("n", [101, 301])
+    def test_homfly_bridge_holds_at_large_n(self, n):
+        # Powers of z up to n - 1, past any size the small cases reach.
+        assert homfly_to_generalized(homfly_torus(n)) == generalized_alexander_torus(n)
+
     def test_context_checked(self):
         with pytest.raises(ContextMismatch):
             to_alexander(alexander_torus(3))

@@ -22,6 +22,7 @@ from torkit import (
     NonIntegralExponent,
     NotAPerfectSquare,
     ParseError,
+    Substitution,
     UnknownVariable,
     VarContext,
     ZeroBase,
@@ -36,6 +37,23 @@ from torkit import (
 
 def P(text: str, ctx=CTX_QP) -> LaurentPoly:
     return parse(text, ctx)
+
+
+def both_forms(f: LaurentPoly, method: str, target, assignments):
+    """The substitution called with the mapping, and with it compiled first."""
+    run = getattr(f, method)
+    return (
+        lambda: run(target, assignments),
+        lambda: run(target, Substitution(f.context, target, assignments)),
+    )
+
+
+def assert_raises_in_both_forms(error, message, f, method, target, assignments):
+    for call in both_forms(f, method, target, assignments):
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 class TestVarContext:
@@ -175,21 +193,33 @@ class TestSubstituteMonomial:
 
     def test_negative_one_with_fractional_power_rejected(self):
         f = P("q^(1/2)", CTX_Q)
-        with pytest.raises(NonIntegralExponent):
-            f.substitute_monomial(CTX_T, {"q": "-t"})
+        assert_raises_in_both_forms(
+            NonIntegralExponent,
+            "sign -1 cannot be raised to a fractional power",
+            f, "substitute_monomial", CTX_T, {"q": "-t"},
+        )
 
     def test_subquarter_result_rejected(self):
         f = P("q^(1/4)", CTX_Q)
-        with pytest.raises(NonIntegralExponent):
-            f.substitute_monomial(CTX_T, {"q": "t^(1/2)"})
+        assert_raises_in_both_forms(
+            NonIntegralExponent,
+            "substitution would need an exponent finer than quarter units",
+            f, "substitute_monomial", CTX_T, {"q": "t^(1/2)"},
+        )
 
     def test_missing_assignment(self):
-        with pytest.raises(MissingAssignment):
-            P("q + p").substitute_monomial(CTX_QP, {"q": "p"})
+        assert_raises_in_both_forms(
+            MissingAssignment,
+            "no assignment for variable 'p'",
+            P("q + p"), "substitute_monomial", CTX_QP, {"q": "p"},
+        )
 
     def test_extra_assignment_rejected(self):
-        with pytest.raises(UnknownVariable):
-            P("q", CTX_Q).substitute_monomial(CTX_Q, {"q": "q", "x": "q"})
+        assert_raises_in_both_forms(
+            UnknownVariable,
+            "assignment for 'x', which is not in ('q',)",
+            P("q", CTX_Q), "substitute_monomial", CTX_Q, {"q": "q", "x": "q"},
+        )
 
     def test_monomial_object_assignment(self):
         f = P("q + p")
@@ -200,8 +230,23 @@ class TestSubstituteMonomial:
         )
 
     def test_non_unit_coefficient_rejected(self):
-        with pytest.raises(ValueError):
-            P("q", CTX_Q).substitute_monomial(CTX_T, {"q": "2*t"})
+        assert_raises_in_both_forms(
+            ValueError,
+            "assignment for 'q' must have coefficient +1 or -1, got 2",
+            P("q", CTX_Q), "substitute_monomial", CTX_T, {"q": "2*t"},
+        )
+        assert_raises_in_both_forms(
+            ValueError,
+            "assignment for 'q' must be a single monomial",
+            P("q", CTX_Q), "substitute_monomial", CTX_T, {"q": "t + 1"},
+        )
+
+    def test_assignment_in_another_context_rejected(self):
+        assert_raises_in_both_forms(
+            ContextMismatch,
+            "assignment for 'q' lives in ('q', 'p'), not ('t',)",
+            P("q", CTX_Q), "substitute_monomial", CTX_T, {"q": P("q")},
+        )
 
 
 class TestSubstitutePoly:
@@ -230,17 +275,53 @@ class TestSubstitutePoly:
 
     def test_negative_power_of_polynomial_rejected(self):
         f = P("a^(-1)", CTX_AZ)
-        with pytest.raises(NegativePowerOfPolynomial):
-            f.substitute_poly(CTX_QP, {"a": "q + 1", "z": "p"})
+        assert_raises_in_both_forms(
+            NegativePowerOfPolynomial,
+            "'a' appears with a negative exponent but is assigned a general polynomial",
+            f, "substitute_poly", CTX_QP, {"a": "q + 1", "z": "p"},
+        )
 
     def test_fractional_power_of_polynomial_rejected(self):
         f = P("z^(1/2)", CTX_AZ)
-        with pytest.raises(NonIntegralExponent):
-            f.substitute_poly(CTX_QP, {"a": "q", "z": "q - p"})
+        assert_raises_in_both_forms(
+            NonIntegralExponent,
+            "'z' appears with a fractional exponent but is assigned a general polynomial",
+            f, "substitute_poly", CTX_QP, {"a": "q", "z": "q - p"},
+        )
 
     def test_missing_assignment(self):
-        with pytest.raises(MissingAssignment):
-            P("a*z", CTX_AZ).substitute_poly(CTX_QP, {"a": "q"})
+        assert_raises_in_both_forms(
+            MissingAssignment,
+            "no assignment for variable 'z'",
+            P("a*z", CTX_AZ), "substitute_poly", CTX_QP, {"a": "q"},
+        )
+
+    def test_assignment_in_another_context_rejected(self):
+        assert_raises_in_both_forms(
+            ContextMismatch,
+            "assignment for 'z' lives in ('t',), not ('q', 'p')",
+            P("a*z", CTX_AZ), "substitute_poly", CTX_QP, {"a": "q", "z": P("t", CTX_T)},
+        )
+
+    def test_compiled_for_other_contexts_rejected(self):
+        sub = Substitution(CTX_AZ, CTX_QP, {"a": "q", "z": "q - p"})
+        with pytest.raises(ContextMismatch):
+            P("q").substitute_poly(CTX_QP, sub)
+        with pytest.raises(ContextMismatch):
+            P("a", CTX_AZ).substitute_poly(CTX_T, sub)
+
+    def test_failed_call_leaves_the_power_table_sound(self):
+        # z^6 and z^10 are built and kept before the z^(-1) term raises.
+        assignments = {"a": "q^(1/4)*p^(1/4)", "z": "q - 2*p"}
+        sub = Substitution(CTX_AZ, CTX_QP, assignments)
+        bad = LaurentPoly(CTX_AZ, [((0, 24), 1), ((4, 40), 1), ((0, -4), 1)])
+        with pytest.raises(NegativePowerOfPolynomial):
+            bad.substitute_poly(CTX_QP, sub)
+        good = P("a*z^10 - 3*z^6 + z^8 + a^(-2)*z^3", CTX_AZ)
+        z = P("q - 2*p")
+        expected = P("q^(1/4)*p^(1/4)") * z ** 10 - 3 * z ** 6 + z ** 8 + P("q^(-1/2)*p^(-1/2)") * z ** 3
+        assert good.substitute_poly(CTX_QP, sub) == expected
+        assert good.substitute_poly(CTX_QP, assignments) == expected
 
     def test_agrees_with_substitute_monomial_on_monomial_maps(self):
         f = P("q^2 - 3*q*p + p^(-1)")

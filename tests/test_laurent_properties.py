@@ -4,10 +4,23 @@ round trips, and the square-root and evaluation contracts."""
 from __future__ import annotations
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from conftest import CTX_AZ, CTX_Q, CTX_QP, CTX_T, nonzero_polys, polys, rationals, shaped_pairs
-from torkit import LaurentPoly, Monomial, exact_sqrt, from_json, parse, to_json
+from torkit import (
+    LaurentPoly,
+    Monomial,
+    Substitution,
+    exact_sqrt,
+    from_json,
+    jones_number,
+    parse,
+    q_number,
+    qp_number,
+    to_json,
+)
+from torkit.laurent import _schoolbook_mul
 
 
 @given(polys(), polys(), polys())
@@ -110,6 +123,84 @@ def test_substitute_poly_results_are_canonical(term_list):
     f = LaurentPoly(CTX_AZ, term_list)
     assignments = {"a": "q^(1/4)*p^(1/4)", "z": "q^(1/4)*p^(-1/4) - q^(-1/4)*p^(1/4)"}
     assert_canonical(f.substitute_poly(CTX_QP, assignments))
+
+
+@pytest.mark.parametrize(
+    "build, names",
+    [
+        (q_number, ("q", "t", "x")),
+        (jones_number, ("t", "q", "y")),
+        (qp_number, (("q", "p"), ("p", "q"), ("u", "v"))),
+    ],
+)
+def test_q_numbers_are_canonical(build, names):
+    # They are built by trusted construction, so check what it assumes.
+    for n in range(201):
+        assert_canonical(build(n))
+        for name in names:
+            assert_canonical(build(n, name))
+
+
+def naive_substitute(f: LaurentPoly, target, assignments: dict) -> LaurentPoly:
+    """Term by term: each variable's value raised by schoolbook products, no table."""
+    total: dict = {}
+    for exps, coeff in f.terms.items():
+        piece = LaurentPoly.constant(target, coeff)
+        for name, e in zip(f.context, exps):
+            g = assignments[name]
+            if g.num_terms == 1 and abs(g.leading_monomial().coeff) == 1:
+                (key, sign), = g.terms.items()
+                assert all(e * q % 4 == 0 for q in key) and (sign == 1 or e % 4 == 0)
+                sign = -1 if sign < 0 and (e // 4) % 2 else 1
+                factor = LaurentPoly(target, {tuple(e * q // 4 for q in key): sign})
+            else:
+                assert e >= 0 and e % 4 == 0
+                factor = LaurentPoly.one(target)
+                for _ in range(e // 4):
+                    factor = _schoolbook_mul(factor, g)
+            piece = _schoolbook_mul(piece, factor)
+        for key, c in piece.terms.items():
+            total[key] = total.get(key, 0) + c
+    return LaurentPoly(target, total)
+
+
+@st.composite
+def substitution_runs(draw):
+    """A target, values for a and z in it, and a sequence of inputs in (a, z).
+
+    z gets whole powers 0..9, even and odd.  a is a +/-1 monomial with any
+    quarter exponent, negative ones included, where its value allows it, or a
+    general polynomial with whole powers 0..3."""
+    target = draw(st.sampled_from((CTX_QP, CTX_T)))
+    z_value = draw(nonzero_polys(context=target, max_terms=3, quarter_bound=6))
+    if draw(st.booleans()):
+        sign = draw(st.sampled_from((1, -1)))
+        quarters = draw(st.tuples(*[st.integers(-6, 6)] * len(target)))
+        a_value = LaurentPoly(target, {quarters: sign})
+        whole = sign < 0 or any(q % 4 for q in quarters)
+        a_exp = whole_powers(-3, 3) if whole else st.integers(-12, 12)
+    else:
+        a_value = draw(polys(context=target, max_terms=3, quarter_bound=6))
+        a_exp = whole_powers(0, 3)
+    term = st.tuples(st.tuples(a_exp, whole_powers(0, 9)), st.integers(-9, 9))
+    inputs = draw(st.lists(st.lists(term, max_size=6), min_size=1, max_size=6))
+    return target, {"a": a_value, "z": z_value}, [LaurentPoly(CTX_AZ, ts) for ts in inputs]
+
+
+@given(substitution_runs())
+@settings(max_examples=150, deadline=None)
+def test_compiled_substitution_matches_naive_expansion(run):
+    # One Substitution serves the whole sequence, so its power table is cold
+    # for the first input and warm or partly warm for the rest.
+    target, assignments, inputs = run
+    sub = Substitution(CTX_AZ, target, assignments)
+    units = all(g.num_terms == 1 and abs(g.leading_monomial().coeff) == 1 for g in assignments.values())
+    for f in inputs:
+        expected = naive_substitute(f, target, assignments)
+        assert f.substitute_poly(target, sub) == expected
+        assert f.substitute_poly(target, assignments) == expected
+        if units:
+            assert f.substitute_monomial(target, sub) == expected
 
 
 @given(nonzero_polys(max_terms=5, quarter_bound=12))
