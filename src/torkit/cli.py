@@ -13,6 +13,7 @@ import dataclasses
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import Callable, Optional
 
 from .families import (
@@ -34,6 +35,7 @@ from .report import CheckFailure, CheckReport, compare
 from .skein import (
     InvalidTorusIndex,
     KnotStepPair,
+    TorusSequence,
     fit_ansatz,
     gen_full_sequence,
     gen_odd_sequence,
@@ -122,55 +124,7 @@ def cmd_qnum(args: argparse.Namespace) -> int:
 
 # -- the verification battery -------------------------------------------------
 
-
-def _guarded(name: str, body: Callable[[], CheckReport]) -> CheckReport:
-    # A check that blows up should read as a failure, not a crash.
-    try:
-        return body()
-    except TorkitError as exc:
-        return CheckReport(name, 0, (CheckFailure(0, "", "", f"{type(exc).__name__}: {exc}"),))
-
-
-def _closed_vs_recurrence(spec: FamilySpec, n_max: int) -> CheckReport:
-    name = f"closed-form-vs-recurrence[{spec.name}]"
-
-    def body() -> CheckReport:
-        # The recurrence is the oracle; spec.sequence takes the closed form.
-        recurrence = gen_odd_sequence(spec.knot_step, n_max, spec.name)
-        closed = spec.sequence(n_max)
-        return compare(
-            name, ((n, value, closed.entry(n)) for n, value in recurrence.entries.items())
-        )
-
-    return _guarded(name, body)
-
-
-def _substitution_check(
-    name: str,
-    source: FamilySpec,
-    target: FamilySpec,
-    mapping: Callable[[LaurentPoly], LaurentPoly],
-    n_max: int,
-) -> CheckReport:
-    def body() -> CheckReport:
-        lhs, rhs = source.sequence(n_max), target.sequence(n_max)
-        return compare(
-            name, ((n, mapping(value), rhs.entry(n)) for n, value in lhs.entries.items())
-        )
-
-    return _guarded(name, body)
-
-
-def _qp_reduction_check(n_max: int) -> CheckReport:
-    name = "qp-number-reduces-to-q"
-
-    def body() -> CheckReport:
-        cases = ((n, to_alexander(qp_number(n)), q_number(n, "t")) for n in range(n_max + 1))
-        return compare(name, cases)
-
-    return _guarded(name, body)
-
-
+# The paper's (a1, a2) per family: the oracle ansatz[...] checks the fit against.
 _EXPECTED_ANSATZ = {
     "alexander": ("1", "1"),
     "generalized-alexander": ("1", "q*p"),
@@ -178,34 +132,76 @@ _EXPECTED_ANSATZ = {
 }
 
 
-def _ansatz_check(spec: FamilySpec, n_max: int) -> CheckReport:
-    name = f"ansatz[{spec.name}]"
+def _guarded(name: str, check: Callable[[str], CheckReport]) -> CheckReport:
+    # A check that blows up should read as a failure, not a crash.
+    try:
+        return check(name)
+    except TorkitError as exc:
+        return CheckReport(name, 0, (CheckFailure(0, "", "", f"{type(exc).__name__}: {exc}"),))
 
-    def body() -> CheckReport:
+
+def run_verification(
+    n_max: int, registry: Optional[dict[str, FamilySpec]] = None
+) -> list[CheckReport]:
+    """Every cross-check the library makes, in a fixed deterministic order.
+
+    n_max is an odd torus index of at least 3, since the ansatz fit needs
+    T(3,2); anything else raises InvalidTorusIndex.  Each family's inputs are
+    built once, inside the guard of the first check that reads them, and
+    shared by the checks after it.
+    """
+    if odd_index(n_max) < 1:
+        raise InvalidTorusIndex(f"verification needs n_max >= 3, got {n_max}: fit_ansatz needs T(3,2)")
+    reg = registry if registry is not None else FAMILIES
+
+    @cache
+    def values(family: str) -> TorusSequence:
+        return reg[family].sequence(n_max)
+
+    @cache
+    def recurrence(family: str) -> TorusSequence:
+        spec = reg[family]
+        if spec.closed_form is None:
+            return values(family)  # which already is the recurrence
+        return gen_odd_sequence(spec.knot_step, n_max, family)
+
+    @cache
+    def full(family: str) -> dict[int, LaurentPoly]:
+        spec = reg[family]
+        base2 = spec.hopf if spec.hopf is not None else spec.skein.l1
+        return gen_full_sequence(spec.skein, LaurentPoly.one(spec.context), base2, n_max)
+
+    def closed_vs_recurrence(family: str, name: str) -> CheckReport:
+        oracle, closed = recurrence(family), values(family)
+        return compare(name, ((n, value, closed.entry(n)) for n, value in oracle.entries.items()))
+
+    def substitution(
+        source: str, target: str, mapping: Callable[[LaurentPoly], LaurentPoly], name: str
+    ) -> CheckReport:
+        lhs, rhs = values(source), values(target)
+        return compare(name, ((n, mapping(value), rhs.entry(n)) for n, value in lhs.entries.items()))
+
+    def qp_reduction(name: str) -> CheckReport:
+        cases = ((n, to_alexander(qp_number(n)), q_number(n, "t")) for n in range(n_max + 1))
+        return compare(name, cases)
+
+    def ansatz(family: str, name: str) -> CheckReport:
+        spec = reg[family]
         qhat, phat = solve_parameters(spec.knot_step)
-        seq = gen_odd_sequence(spec.knot_step, n_max, spec.name)
-        coeffs = fit_ansatz(seq, qhat, phat)
+        coeffs = fit_ansatz(recurrence(family), qhat, phat)
         failures = []
-        expect_a1, expect_a2 = (parse(s, spec.context) for s in _EXPECTED_ANSATZ[spec.name])
+        expect_a1, expect_a2 = (parse(s, spec.context) for s in _EXPECTED_ANSATZ[family])
         if coeffs.a1 != expect_a1 or coeffs.a2 != expect_a2:
             failures.append(
                 CheckFailure(1, f"(a1, a2) = ({coeffs.a1}, {coeffs.a2})", f"({expect_a1}, {expect_a2})")
             )
         return CheckReport(name, (n_max + 1) // 2, tuple(failures))
 
-    return _guarded(name, body)
+    def interleave(family: str, name: str) -> CheckReport:
+        return verify_interleave(reg[family].skein, full(family), name)
 
-
-def _interleave_check(spec: FamilySpec, n_max: int) -> CheckReport:
-    name = f"interleave[{spec.name}]"
-    return _guarded(name, lambda: verify_interleave(spec.skein, spec.hopf, n_max, name))
-
-
-def _roundtrip_check(spec: FamilySpec) -> CheckReport:
-    name = f"k-roundtrip[{spec.name}]"
-
-    def body() -> CheckReport:
-        k = l_to_k(spec.skein)
+    def roundtrip(family: str, name: str) -> CheckReport:
+        k = l_to_k(reg[family].skein)
         again = l_to_k(k_to_l(k))
         failures = []
         if again.k1 != k.k1 or again.k2 != k.k2:
@@ -214,75 +210,38 @@ def _roundtrip_check(spec: FamilySpec) -> CheckReport:
             )
         return CheckReport(name, 1, tuple(failures))
 
-    return _guarded(name, body)
-
-
-def _skein_form_check(spec: FamilySpec, n_max: int) -> CheckReport:
-    name = f"skein-form[{spec.name}]"
-
-    def body() -> CheckReport:
-        base2 = spec.hopf if spec.hopf is not None else spec.skein.l1
-        one = LaurentPoly.one(spec.context)
-        seq = gen_full_sequence(spec.skein, one, base2, n_max)
-        c_plus, c_minus, c_zero = spec.skein_form
+    def skein_form(family: str, name: str) -> CheckReport:
+        seq = full(family)
+        c_plus, c_minus, c_zero = reg[family].skein_form
         cases = (
             (n, c_plus * seq[n] + c_minus * seq[n - 2], c_zero * seq[n - 1])
             for n in range(3, n_max + 1)
         )
         return compare(name, cases)
 
-    return _guarded(name, body)
-
-
-def run_verification(
-    n_max: int, registry: Optional[dict[str, FamilySpec]] = None
-) -> list[CheckReport]:
-    """Every cross-check the library makes, in a fixed deterministic order."""
-    reg = registry if registry is not None else FAMILIES
-    reports: list[CheckReport] = []
-    for spec in reg.values():
-        if spec.closed_form is not None:
-            reports.append(_closed_vs_recurrence(spec, n_max))
-    reports.append(
-        _substitution_check(
-            "substitute[generalized-alexander->alexander]",
-            reg["generalized-alexander"],
-            reg["alexander"],
-            to_alexander,
-            n_max,
-        )
-    )
-    reports.append(
-        _substitution_check(
-            "substitute[generalized-alexander->jones]",
-            reg["generalized-alexander"],
-            reg["jones"],
-            to_jones,
-            n_max,
-        )
-    )
-    reports.append(
-        _substitution_check(
-            "substitute[homfly->generalized-alexander]",
-            reg["homfly"],
-            reg["generalized-alexander"],
-            homfly_to_generalized,
-            n_max,
-        )
-    )
-    reports.append(verify_q_recurrence(n_max))
-    reports.append(verify_qp_recurrence(n_max))
-    reports.append(_qp_reduction_check(n_max))
-    for family in ("alexander", "generalized-alexander", "jones"):
-        reports.append(_ansatz_check(reg[family], n_max))
-    for spec in reg.values():
-        if spec.hopf is not None:
-            reports.append(_interleave_check(spec, n_max))
-    for spec in reg.values():
-        reports.append(_roundtrip_check(spec))
-    for spec in reg.values():
-        reports.append(_skein_form_check(spec, n_max))
-    return reports
+    checks = [
+        *(
+            (f"closed-form-vs-recurrence[{f}]", partial(closed_vs_recurrence, f))
+            for f, spec in reg.items()
+            if spec.closed_form is not None
+        ),
+        *(
+            (f"substitute[{source}->{target}]", partial(substitution, source, target, mapping))
+            for (source, target), mapping in _CONVERSIONS.items()
+        ),
+        ("q-number-recurrence", lambda name: verify_q_recurrence(n_max)),
+        ("qp-number-recurrence", lambda name: verify_qp_recurrence(n_max)),
+        ("qp-number-reduces-to-q", qp_reduction),
+        *((f"ansatz[{f}]", partial(ansatz, f)) for f in _EXPECTED_ANSATZ),
+        *(
+            (f"interleave[{f}]", partial(interleave, f))
+            for f, spec in reg.items()
+            if spec.hopf is not None
+        ),
+        *((f"k-roundtrip[{f}]", partial(roundtrip, f)) for f in reg),
+        *((f"skein-form[{f}]", partial(skein_form, f)) for f in reg),
+    ]
+    return [_guarded(name, check) for name, check in checks]
 
 
 def _corrupted_registry(family: str) -> dict[str, FamilySpec]:
@@ -296,9 +255,6 @@ def _corrupted_registry(family: str) -> dict[str, FamilySpec]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    odd_index(args.n_max)
-    if args.n_max < 3:
-        return _usage_error(f"--n-max must be at least 3, got {args.n_max}: fit_ansatz needs T(3,2)")
     registry = _corrupted_registry(args.corrupt_family) if args.corrupt_family else None
     reports = run_verification(args.n_max, registry)
     for report in reports:

@@ -21,7 +21,7 @@ verifies against every entry it is given.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .laurent import (
     ContextMismatch,
@@ -32,7 +32,6 @@ from .laurent import (
     VarContext,
     exact_sqrt,
 )
-from .qnumbers import qp_number
 from .report import CheckReport, compare
 
 
@@ -210,9 +209,21 @@ def solve_parameters(pair: KnotStepPair) -> tuple[Monomial, Monomial]:
     return u, v
 
 
-def _qp_at(m: int, qhat: Monomial, phat: Monomial, context: VarContext) -> LaurentPoly:
-    # [m] for the concrete parameter pair, via substitution into [m]_{q,p}
-    return qp_number(m).substitute_monomial(context, {"q": qhat, "p": phat})
+def _qp_numbers(u: Monomial, v: Monomial, context: VarContext) -> Iterator[LaurentPoly]:
+    """[0], [1], [2], ... in the +/-1 monomials u and v, each built from the
+    one before by exponent arithmetic: [m+1]_{u,v} = v [m]_{u,v} + u^m."""
+    for w in (u, v):
+        if w.coeff not in (1, -1):
+            raise ValueError(f"two-parameter numbers need +/-1 monomials, got coefficient {w.coeff}")
+    terms: dict = {}
+    key, sign = (0,) * len(context), 1  # u^m
+    while True:
+        yield LaurentPoly._make(context, terms)
+        terms = {tuple(e + d for e, d in zip(k, v.quarters)): c * v.coeff for k, c in terms.items()}
+        c = terms.pop(key, 0) + sign  # only u == v in exponents makes terms meet
+        if c:
+            terms[key] = c
+        key, sign = tuple(e + d for e, d in zip(key, u.quarters)), sign * u.coeff
 
 
 def fit_ansatz(seq: TorusSequence, qhat: Monomial, phat: Monomial) -> AnsatzCoefficients:
@@ -220,7 +231,8 @@ def fit_ansatz(seq: TorusSequence, qhat: Monomial, phat: Monomial) -> AnsatzCoef
 
     a1 is the n=1 entry and a2 = a1 (qhat + phat) - P(3); both follow from
     the first two knots, after which every entry of seq is checked against
-    the ansatz and any deviation raises AnsatzMismatch.
+    the ansatz and any deviation raises AnsatzMismatch.  qhat and phat must
+    be +/-1 monomials (ValueError otherwise).
     """
     for needed in (1, 3):
         if needed not in seq.entries:
@@ -229,9 +241,12 @@ def fit_ansatz(seq: TorusSequence, qhat: Monomial, phat: Monomial) -> AnsatzCoef
     context = a1.context
     step = LaurentPoly.from_monomial(context, qhat) + LaurentPoly.from_monomial(context, phat)
     a2 = a1 * step - seq.entry(3)
+    numbers = _qp_numbers(qhat, phat, context)
+    m, low, high = 0, next(numbers), next(numbers)  # [m] and [m+1]
     for n in sorted(seq.entries):
-        m = (n - 1) // 2
-        expected = a1 * _qp_at(m + 1, qhat, phat, context) - a2 * _qp_at(m, qhat, phat, context)
+        while m < (n - 1) // 2:
+            m, low, high = m + 1, high, next(numbers)
+        expected = a1 * high - a2 * low
         if expected != seq.entry(n):
             raise AnsatzMismatch(
                 f"entry n={n} is {seq.entry(n)} but the ansatz gives {expected}"
@@ -240,15 +255,15 @@ def fit_ansatz(seq: TorusSequence, qhat: Monomial, phat: Monomial) -> AnsatzCoef
 
 
 def verify_interleave(
-    pair: SkeinPair, base2: LaurentPoly, n_max: int, name: str = "interleave"
+    pair: SkeinPair, full: Mapping[int, LaurentPoly], name: str = "interleave"
 ) -> CheckReport:
-    """Compare the odd entries of the full recurrence against the knot-only
-    recurrence for odd n <= n_max.
+    """Compare the odd entries of a full sequence, as gen_full_sequence(pair,
+    ...) returns it, against the knot-only recurrence of l_to_k(pair) for
+    every odd n it holds.
 
-    The comparison uses the caller's base2; the odd subsequence agrees with
-    gen_odd_sequence exactly when base2 satisfies l1*base2 = l1^2 + l2 - l2^2,
-    the n=3 consistency condition.
+    The odd entries agree exactly when the sequence's base2 satisfies
+    l1*base2 = l1^2 + l2 - l2^2, the n=3 consistency condition.
     """
-    odd = gen_odd_sequence(l_to_k(pair), n_max)
-    full = gen_full_sequence(pair, LaurentPoly.one(pair.context), base2, n_max)
+    top = max(full)
+    odd = gen_odd_sequence(l_to_k(pair), top if top % 2 else top - 1)
     return compare(name, ((n, full[n], value) for n, value in odd.entries.items()))

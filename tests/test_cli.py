@@ -15,8 +15,9 @@ from pathlib import Path
 import pytest
 
 from conftest import CTX_QP, CTX_T
-from torkit import InvalidTorusIndex, parse, to_json_obj
-from torkit.cli import main
+from torkit import EvenIndexUnsupported, FamilySpec, InvalidTorusIndex, parse, to_json_obj
+from torkit import cli, families, skein
+from torkit.cli import _corrupted_registry, main, run_verification
 from torkit.skein import odd_index
 
 
@@ -219,6 +220,49 @@ class TestVerify:
         assert rc == 2
         assert out == ""
         assert err.startswith("error: ") and "T(3,2)" in err
+
+    def test_library_call_rejects_bound_of_one_naming_the_trefoil(self):
+        with pytest.raises(InvalidTorusIndex) as info:
+            run_verification(1)
+        assert "T(3,2)" in str(info.value)
+
+    def test_library_call_rejects_even_bound_through_the_index_check(self):
+        with pytest.raises(EvenIndexUnsupported) as info:
+            run_verification(8)
+        with pytest.raises(InvalidTorusIndex) as expected:
+            odd_index(8)
+        assert str(info.value) == str(expected.value)
+
+    @pytest.mark.parametrize("corrupt", [None, *sorted(families.FAMILIES)])
+    def test_each_input_is_built_once(self, monkeypatch, corrupt):
+        """No sequence builder runs twice with equal arguments in one run.
+        Arguments are compared with ==, since LaurentPoly is unhashable."""
+        calls = []
+
+        def recording(label, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((label, args, kwargs))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(FamilySpec, "sequence", recording("sequence", FamilySpec.sequence))
+        for label in ("gen_odd_sequence", "gen_full_sequence"):
+            wrapper = recording(label, getattr(skein, label))
+            for module in (cli, families, skein):
+                if hasattr(module, label):
+                    monkeypatch.setattr(module, label, wrapper)
+        registry = _corrupted_registry(corrupt) if corrupt else None
+        run_verification(21, registry)
+        assert {label for label, _, _ in calls} == {
+            "sequence", "gen_odd_sequence", "gen_full_sequence"
+        }
+        repeated = [
+            (label, args)
+            for i, (label, args, kwargs) in enumerate(calls)
+            if (label, args, kwargs) in calls[:i]
+        ]
+        assert not repeated
 
 
 class TestSubprocess:

@@ -7,6 +7,8 @@ direction was checked by hand the same way before freezing.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -28,9 +30,11 @@ from torkit import (
     k_to_l,
     l_to_k,
     parse,
+    qp_number,
     solve_parameters,
     verify_interleave,
 )
+from torkit.skein import _qp_numbers
 
 
 def sp(l1: str, l2: str, ctx=CTX_QP) -> SkeinPair:
@@ -218,34 +222,48 @@ class TestFitAnsatz:
         with pytest.raises(AnsatzMismatch):
             fit_ansatz(TorusSequence(seq.label, entries), u, v)
 
+    def test_non_unit_parameter_rejected(self):
+        pair = kp(*GEN_K)
+        u, v = solve_parameters(pair)
+        with pytest.raises(ValueError):
+            fit_ansatz(gen_odd_sequence(pair, 9), Monomial(u.quarters, 2), v)
+
     def test_requires_first_two_knots(self):
         with pytest.raises(ValueError):
             fit_ansatz(TorusSequence("partial", {1: LaurentPoly.one(CTX_QP)}), *solve_parameters(kp(*GEN_K)))
 
 
 class TestInterleave:
+    @staticmethod
+    def full(pair, base2, n_max):
+        return gen_full_sequence(pair, LaurentPoly.one(pair.context), base2, n_max)
+
     def test_alexander_hopf(self):
-        report = verify_interleave(
-            sp(*ALEX_L, CTX_T), parse("t^(1/2) - t^(-1/2)", CTX_T), 21
-        )
+        pair = sp(*ALEX_L, CTX_T)
+        report = verify_interleave(pair, self.full(pair, parse("t^(1/2) - t^(-1/2)", CTX_T), 21))
         assert report.passed
 
     def test_jones_hopf(self):
-        report = verify_interleave(
-            sp(*JONES_L, CTX_T), parse("-t^(1/2) - t^(5/2)", CTX_T), 21
-        )
+        pair = sp(*JONES_L, CTX_T)
+        report = verify_interleave(pair, self.full(pair, parse("-t^(1/2) - t^(5/2)", CTX_T), 21))
         assert report.passed
 
     def test_homfly_hopf(self):
-        report = verify_interleave(
-            sp(*HOMFLY_L, CTX_AZ), parse("a*z + a*z^(-1) - a^3*z^(-1)", CTX_AZ), 15
-        )
+        pair = sp(*HOMFLY_L, CTX_AZ)
+        base2 = parse("a*z + a*z^(-1) - a^3*z^(-1)", CTX_AZ)
+        report = verify_interleave(pair, self.full(pair, base2, 15))
         assert report.passed
 
     def test_inconsistent_base_is_reported(self):
-        report = verify_interleave(sp(*ALEX_L, CTX_T), LaurentPoly.one(CTX_T), 9)
+        pair = sp(*ALEX_L, CTX_T)
+        report = verify_interleave(pair, self.full(pair, LaurentPoly.one(CTX_T), 9))
         assert not report.passed
         assert report.failures[0].n == 3
+
+    def test_even_top_checks_every_odd_entry_below_it(self):
+        pair = sp(*ALEX_L, CTX_T)
+        report = verify_interleave(pair, self.full(pair, parse("t^(1/2) - t^(-1/2)", CTX_T), 10), "x")
+        assert (report.name, report.checked, report.passed) == ("x", 5, True)
 
 
 # -- properties ----------------------------------------------------------------
@@ -269,6 +287,29 @@ def test_two_parameter_ansatz_always_fits(u, v):
     coeffs = fit_ansatz(gen_odd_sequence(pair, 11), uu, vv)
     assert coeffs.a1 == LaurentPoly.one(CTX_QP)
     assert coeffs.a2 == pu * pv
+
+
+@st.composite
+def unit_monomial_pairs(draw):
+    """(context, u, v): +/-1 monomials over one or two variables, with
+    negative and quarter exponents, and u == v in exponents about a third of
+    the time so that terms merge (or cancel, when the signs differ)."""
+    context = draw(st.sampled_from([CTX_T, CTX_QP]))
+    exps = st.tuples(*[st.integers(-9, 9)] * len(context))
+    sign = st.sampled_from([1, -1])
+    u = Monomial(draw(exps), draw(sign))
+    v_exps = u.quarters if draw(st.integers(0, 2)) == 0 else draw(exps)
+    return context, u, Monomial(v_exps, draw(sign))
+
+
+@given(unit_monomial_pairs())
+@settings(max_examples=80, deadline=None)
+def test_direct_two_parameter_numbers_match_substitution(case):
+    # The oracle: [m]_{q,p} with q -> u, p -> v by substitute_monomial.
+    context, u, v = case
+    for m, got in enumerate(islice(_qp_numbers(u, v, context), 41)):
+        assert got == qp_number(m).substitute_monomial(context, {"q": u, "p": v}), m
+        assert LaurentPoly(context, got.terms) == got and 0 not in got.terms.values()
 
 
 @given(polys(max_terms=3, quarter_bound=6), polys(max_terms=3, quarter_bound=6), polys(max_terms=3, quarter_bound=6))
