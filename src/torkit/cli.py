@@ -23,7 +23,7 @@ from .families import (
     to_alexander,
     to_jones,
 )
-from .laurent import LaurentPoly, TorkitError, parse, to_json_obj
+from .laurent import LaurentPoly, TorkitError, decimal_int, parse, to_json_obj
 from .qnumbers import (
     QNumberKind,
     q_number,
@@ -276,18 +276,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compute = sub.add_parser("compute", help="one invariant value")
     p_compute.add_argument("--family", required=True, choices=FAMILY_NAMES)
-    p_compute.add_argument("--n", type=int, required=True, help="odd torus index")
+    p_compute.add_argument("--n", type=decimal_int, required=True, help="odd torus index")
     add_format(p_compute)
     p_compute.set_defaults(func=cmd_compute)
 
     p_table = sub.add_parser("table", help="all odd values up to --n-max")
     p_table.add_argument("--family", required=True, choices=FAMILY_NAMES)
-    p_table.add_argument("--n-max", type=int, required=True, dest="n_max")
+    p_table.add_argument("--n-max", type=decimal_int, required=True, dest="n_max")
     add_format(p_table)
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="run every identity cross-check")
-    p_verify.add_argument("--n-max", type=int, default=21, dest="n_max")
+    p_verify.add_argument("--n-max", type=decimal_int, default=21, dest="n_max")
     p_verify.add_argument(
         "--corrupt-family",
         choices=FAMILY_NAMES,
@@ -299,13 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_convert = sub.add_parser("convert", help="map one family's value into another")
     p_convert.add_argument("--from", required=True, dest="source", choices=FAMILY_NAMES)
     p_convert.add_argument("--to", required=True, dest="target", choices=FAMILY_NAMES)
-    p_convert.add_argument("--n", type=int, required=True)
+    p_convert.add_argument("--n", type=decimal_int, required=True)
     add_format(p_convert)
     p_convert.set_defaults(func=cmd_convert)
 
     p_qnum = sub.add_parser("qnum", help="print a q-, (q,p)-, or (t^3,t)-number")
     p_qnum.add_argument("--kind", choices=[k.value for k in QNumberKind], default="q")
-    p_qnum.add_argument("--n", type=int, required=True)
+    p_qnum.add_argument("--n", type=decimal_int, required=True)
     add_format(p_qnum)
     p_qnum.set_defaults(func=cmd_qnum)
 

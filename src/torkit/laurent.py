@@ -61,7 +61,7 @@ class ParseError(TorkitError):
         self.position = position
 
 
-_NAME_RE = re.compile(r"[A-Za-z_]\w*\Z")
+_NAME_RE = re.compile(r"[A-Za-z_]\w*", re.ASCII)
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class VarContext:
         if len(set(self.names)) != len(self.names):
             raise ValueError("variable names must be distinct")
         for name in self.names:
-            if not _NAME_RE.match(name):
+            if not _NAME_RE.fullmatch(name):
                 raise ValueError(f"invalid variable name {name!r}")
 
     @classmethod
@@ -782,148 +782,67 @@ def exact_sqrt(f: LaurentPoly) -> LaurentPoly:
 
 # -- parsing ---------------------------------------------------------------
 
-
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*^()/":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str, context: VarContext):
-        self.tokens = _tokenize(text)
-        self.context = context
-        self.idx = 0
-
-    def peek(self):
-        return self.tokens[self.idx]
-
-    def advance(self):
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
-    def expect(self, kind: str, what: str):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ParseError(f"expected {what}", tok[2])
-        return tok
-
-    def parse(self) -> LaurentPoly:
-        terms: dict = {}
-        sign = 1
-        tok = self.peek()
-        if tok[0] in "+-":
-            self.advance()
-            sign = -1 if tok[0] == "-" else 1
-        while True:
-            coeff, exps = self.parse_term()
-            terms[exps] = terms.get(exps, 0) + sign * coeff
-            tok = self.advance()
-            if tok[0] == "end":
-                break
-            if tok[0] == "+":
-                sign = 1
-            elif tok[0] == "-":
-                sign = -1
-            else:
-                raise ParseError("expected '+', '-', or end of input", tok[2])
-        return LaurentPoly(self.context, terms)
-
-    def parse_term(self):
-        tok = self.peek()
-        if tok[0] == "int":
-            self.advance()
-            coeff = int(tok[1])
-            if self.peek()[0] == "*":
-                self.advance()
-                return coeff, self.parse_varpows()
-            return coeff, (0,) * len(self.context)
-        if tok[0] == "name":
-            return 1, self.parse_varpows()
-        raise ParseError("expected a term", tok[2])
-
-    def parse_varpows(self):
-        exps = [0] * len(self.context)
-        while True:
-            tok = self.expect("name", "a variable name")
-            if tok[1] not in self.context:
-                raise UnknownVariable(
-                    f"unknown variable {tok[1]!r} at position {tok[2]} (context {self.context.names})"
-                )
-            idx = self.context.index(tok[1])
-            quarters = 4
-            if self.peek()[0] == "^":
-                self.advance()
-                quarters = self.parse_exponent()
-            exps[idx] += quarters
-            if self.peek()[0] == "*":
-                self.advance()
-                continue
-            return tuple(exps)
-
-    def parse_exponent(self) -> int:
-        tok = self.advance()
-        if tok[0] == "int":
-            return 4 * int(tok[1])
-        if tok[0] == "-":
-            inner = self.expect("int", "an integer exponent")
-            return -4 * int(inner[1])
-        if tok[0] == "(":
-            sign = 1
-            if self.peek()[0] == "-":
-                self.advance()
-                sign = -1
-            num = int(self.expect("int", "an integer numerator")[1])
-            den = 1
-            if self.peek()[0] == "/":
-                self.advance()
-                den_tok = self.expect("int", "an exponent denominator")
-                den = int(den_tok[1])
-                if den not in (2, 4):
-                    raise ParseError(
-                        "exponent denominator must be 2 or 4 (powers are quarter-integral)",
-                        den_tok[2],
-                    )
-            self.expect(")", "')'")
-            return sign * num * (4 // den)
-        raise ParseError("expected an exponent", tok[2])
+# Polynomial text is ASCII; whitespace may separate tokens but never splits one.
+_WS = r"[ \t\n\r\f\v]*"
+_BAD_CHAR_RE = re.compile(r"[^ \t\n\r\f\v0-9A-Za-z_+*^()/-]")
+_SIGN_RE = re.compile(rf"{_WS}([+-]?){_WS}")
+_COEFF_RE = re.compile(rf"([0-9]+){_WS}(\*{_WS})?")
+# Groups: name, "(", "-", numerator, denominator, "*".
+_FACTOR_RE = re.compile(
+    rf"({_NAME_RE.pattern}){_WS}"
+    rf"(?:\^{_WS}(\()?{_WS}(-?){_WS}([0-9]+){_WS}(?(2)(?:/{_WS}([0-9]+){_WS})?\){_WS}))?"
+    rf"(\*{_WS})?",
+    re.ASCII,
+)
 
 
 def parse(text: str, context: VarContext) -> LaurentPoly:
     """Parse the grammar emitted by canonical_string.
 
-    Terms may appear in any order and duplicates merge; exponents are plain
-    integers (q^3, q^-1) or parenthesized integers and fractions with
-    denominator 2 or 4 (q^(-1), q^(3/2)).  parse(canonical_string(f),
-    f.context) == f for every polynomial f.
+    Terms may appear in any order and duplicates merge; a term is a
+    coefficient, `*`-joined variable powers, or a coefficient `*` powers.
+    Exponents are plain integers (q^3, q^-1) or parenthesized integers and
+    fractions with denominator 2 or 4 (q^(-1), q^(3/2)); a malformed
+    exponent is reported at its `^`.  Only ASCII is accepted, whitespace
+    being space, tab, newline, return, form feed and vertical tab.
+    parse(canonical_string(f), f.context) == f for every polynomial f.
     """
-    return _Parser(text, context).parse()
+    if not isinstance(context, VarContext):
+        raise TypeError("context must be a VarContext")
+    bad = _BAD_CHAR_RE.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad[0]!r}", bad.start())
+    names, end, terms = context.names, len(text), {}
+    sign = _SIGN_RE.match(text)
+    while True:
+        pos, coeff, more = sign.end(), 1, True
+        if m := _COEFF_RE.match(text, pos):
+            pos, coeff, more = m.end(), int(m[1]), m[2]
+        exps = [0] * len(names)
+        while more:
+            if not (m := _FACTOR_RE.match(text, pos)):
+                raise ParseError("expected a term" if pos == sign.end() else "expected a variable name", pos)
+            name, _, minus, num, den, more = m.groups()
+            if name not in names:
+                raise UnknownVariable(f"unknown variable {name!r} at position {pos} (context {names})")
+            quarters = 4 if num is None else 4 * int(num)
+            if den is not None:
+                if int(den) not in (2, 4):
+                    raise ParseError(
+                        "exponent denominator must be 2 or 4 (powers are quarter-integral)", m.start(5)
+                    )
+                quarters //= int(den)
+            exps[names.index(name)] += -quarters if minus else quarters
+            pos = m.end()
+            if text.startswith("^", pos) and not more:
+                raise ParseError("malformed exponent", pos)
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + (-coeff if sign[1] == "-" else coeff)
+        if pos == end:
+            return LaurentPoly._make(context, {k: v for k, v in terms.items() if v})
+        sign = _SIGN_RE.match(text, pos)
+        if not sign[1]:
+            raise ParseError("expected '+', '-', or end of input", pos)
 
 
 # -- JSON form ----------------------------------------------------------------
@@ -943,24 +862,43 @@ def to_json_obj(f: LaurentPoly) -> dict:
     }
 
 
-_COEFF_RE = re.compile(r"-?[0-9]+")
+# The one decimal-integer rule for outside input: JSON coefficients and CLI
+# integers.  int() alone would also take "+5", " 5 ", "1_000" and "\u0663".
+_DECIMAL_RE = re.compile(r"-?[0-9]+")
 
 
-def from_json_obj(obj: Mapping) -> LaurentPoly:
-    """Decode the to_json_obj form strictly: exponents must be JSON integers
-    and coefficients plain decimal strings; anything else is a ValueError."""
-    if obj.get("exp_denominator") != 4:
-        raise ValueError("exp_denominator must be 4")
-    context = VarContext(tuple(obj["vars"]))
+def decimal_int(text: str) -> int:
+    """`text` as an int if it is an optional '-' and ASCII digits, else ValueError."""
+    if isinstance(text, str) and _DECIMAL_RE.fullmatch(text):
+        return int(text)
+    raise ValueError(f"expected a decimal integer string, got {text!r}")
+
+
+def from_json_obj(obj: dict) -> LaurentPoly:
+    """Decode the to_json_obj form strictly: vars a list of names,
+    exp_denominator the integer 4, terms a list of objects whose exponents are
+    JSON integers, one per variable, and whose coefficients are decimal
+    strings; anything else is a ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError("a polynomial is a JSON object")
+    names, entries, den = obj.get("vars"), obj.get("terms"), obj.get("exp_denominator")
+    if type(den) is not int or den != 4:
+        raise ValueError(f"exp_denominator must be the integer 4, got {den!r}")
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise ValueError(f"vars must be a list of variable names, got {names!r}")
+    if not isinstance(entries, list):
+        raise ValueError("terms must be a list of objects")
+    context = VarContext(tuple(names))
     terms: dict = {}
-    for entry in obj["terms"]:
-        key, coeff = tuple(entry["exp"]), entry["coeff"]
-        if any(type(q) is not int for q in key):
-            raise ValueError(f"exponents must be integer quarter counts, got {entry['exp']!r}")
-        if not isinstance(coeff, str) or not _COEFF_RE.fullmatch(coeff):
-            raise ValueError(f"coefficient must be a decimal integer string, got {coeff!r}")
-        terms[key] = terms.get(key, 0) + int(coeff)
-    return LaurentPoly(context, terms)
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise ValueError(f"terms must be a list of objects, got an entry {entry!r}")
+        exps = entry.get("exp")
+        if not isinstance(exps, list) or len(exps) != len(names) or any(type(q) is not int for q in exps):
+            raise ValueError(f"exp must be {len(names)} integer quarter counts, got {exps!r}")
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + decimal_int(entry.get("coeff"))
+    return LaurentPoly._make(context, {k: v for k, v in terms.items() if v})
 
 
 def to_json(f: LaurentPoly) -> str:

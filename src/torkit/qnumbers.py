@@ -71,12 +71,19 @@ class QNumberKind(enum.Enum):
         return jones_number(n)
 
 
+def _neighbours(build, n_max: int):
+    """(n, [n-1], [n], [n+1]) for 1 <= n <= n_max, building each number once."""
+    below, here = build(0), build(1)
+    for n in range(1, n_max + 1):
+        above = build(n + 1)
+        yield n, below, here, above
+        below, here = here, above
+
+
 def verify_q_recurrence(n_max: int) -> CheckReport:
     """Check [n+1] = (q + q^(-1))[n] - [n-1] exactly for 1 <= n <= n_max."""
     step = parse("q + q^(-1)", _Q_CTX)
-    cases = (
-        (n, q_number(n + 1), step * q_number(n) - q_number(n - 1)) for n in range(1, n_max + 1)
-    )
+    cases = ((n, above, step * here - below) for n, below, here, above in _neighbours(q_number, n_max))
     return compare("q-number-recurrence", cases)
 
 
@@ -84,8 +91,5 @@ def verify_qp_recurrence(n_max: int) -> CheckReport:
     """Check [n+1] = (q + p)[n] - qp [n-1] exactly for 1 <= n <= n_max."""
     step = parse("q + p", _QP_CTX)
     qp = parse("q*p", _QP_CTX)
-    cases = (
-        (n, qp_number(n + 1), step * qp_number(n) - qp * qp_number(n - 1))
-        for n in range(1, n_max + 1)
-    )
+    cases = ((n, above, step * here - qp * below) for n, below, here, above in _neighbours(qp_number, n_max))
     return compare("qp-number-recurrence", cases)

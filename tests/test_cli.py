@@ -172,6 +172,51 @@ class TestConvert:
         assert "convert" in err or "support" in err
 
 
+# Every integer option, as argv with the value left for last.
+INTEGER_OPTIONS = [
+    ["compute", "--family", "jones", "--n"],
+    ["table", "--family", "alexander", "--n-max"],
+    ["verify", "--n-max"],
+    ["convert", "--from", "homfly", "--to", "generalized-alexander", "--n"],
+    ["qnum", "--n"],
+]
+
+
+class TestStrictIntegers:
+    """CLI integers follow the JSON coefficient rule: '-'? and ASCII digits."""
+
+    @pytest.mark.parametrize("argv", INTEGER_OPTIONS, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("value", ["٣", "1_1", " 5 ", "+5", "5.0", ""])
+    def test_other_spellings_exit_2_with_no_output(self, capsys, argv, value):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "invalid" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compute", "--family", "jones", "--n", "-1"], "torus index must be a positive integer, got -1"),
+            (["qnum", "--n", "-1"], "--n must be >= 0, got -1"),
+            (["compute", "--family", "jones", "--n", "4"], "T(4,2) is a two-component link"),
+            (["table", "--family", "alexander", "--n-max", "6"], "T(6,2) is a two-component link"),
+            (["verify", "--n-max", "4"], "T(4,2) is a two-component link"),
+        ],
+    )
+    def test_negative_and_even_indices_keep_their_messages(self, capsys, argv, message):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+
+    def test_leading_zeros_are_decimal(self, capsys):
+        rc, out, _ = run(capsys, "qnum", "--n", "004")
+        assert rc == 0
+        assert out.strip() == "q^3 + q + q^(-1) + q^(-3)"
+
+
 class TestVerify:
     def test_default_battery_passes(self, capsys):
         rc, out, _ = run(capsys, "verify", "--n-max", "9")

@@ -67,6 +67,13 @@ class TestVarContext:
         with pytest.raises(ValueError):
             VarContext(("2bad",))
 
+    def test_names_are_ascii(self):
+        with pytest.raises(ValueError):
+            VarContext(("q\u00e9",))
+        with pytest.raises(ValueError):
+            VarContext(("q\u0663",))
+        assert VarContext(("_q2",)).names == ("_q2",)
+
     def test_lookup(self):
         assert CTX_QP.index("p") == 1
         with pytest.raises(UnknownVariable):
@@ -485,6 +492,55 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("q p", CTX_QP)
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("t^\u0663", 2),  # ARABIC-INDIC DIGIT THREE
+            ("\u0663*t", 0),
+            ("t^\u00b2", 2),  # SUPERSCRIPT TWO, which int() itself refuses
+            ("t\u00a0+ 1", 1),  # NO-BREAK SPACE
+            ("t + 1\u2003", 5),  # EM SPACE
+            ("t\u00e9", 1),  # a non-ASCII letter inside a name
+            ("t^(1/\uff12)", 5),  # FULLWIDTH DIGIT TWO
+        ],
+    )
+    def test_non_ascii_rejected_at_its_position(self, text, position):
+        with pytest.raises(ParseError) as err:
+            parse(text, CTX_T)
+        assert "unexpected character" in str(err.value)
+        assert err.value.position == position
+
+    def test_ascii_control_separators_are_not_whitespace(self):
+        with pytest.raises(ParseError) as err:
+            parse("t\x1f+ 1", CTX_T)
+        assert err.value.position == 1
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("q^", 1),
+            ("q^-", 1),
+            ("q^(1/", 1),
+            ("q^(1/2", 1),
+            ("q^()", 1),
+            ("q^+1", 1),
+            ("q^--1", 1),
+            ("q^-(1)", 1),
+            ("p + q ^ (2", 6),
+            ("q^2^3", 3),
+            ("q*p^ *q", 3),
+        ],
+    )
+    def test_malformed_exponent_reported_at_its_caret(self, text, position):
+        with pytest.raises(ParseError) as err:
+            parse(text, CTX_QP)
+        assert "malformed exponent" in str(err.value)
+        assert err.value.position == position
+
+    def test_unknown_variable_comes_before_its_exponent(self):
+        with pytest.raises(UnknownVariable):
+            parse("x^", CTX_QP)
+
 
 class TestJson:
     def test_exact_shape(self):
@@ -537,6 +593,72 @@ class TestJson:
     def test_underscored_coefficient_rejected(self):
         with pytest.raises(ValueError):
             from_json_obj(self.with_first_term("coeff", "1_000"))
+
+    def test_float_denominator_rejected(self):
+        obj = to_json_obj(P("q"))
+        obj["exp_denominator"] = 4.0
+        with pytest.raises(ValueError):
+            from_json_obj(obj)
+
+    def test_vars_string_rejected(self):
+        obj = to_json_obj(P("q"))
+        obj["vars"] = "qp"
+        with pytest.raises(ValueError):
+            from_json_obj(obj)
+
+    def test_vars_of_other_types_rejected(self):
+        obj = to_json_obj(P("q"))
+        obj["vars"] = ["q", 1]
+        with pytest.raises(ValueError):
+            from_json_obj(obj)
+
+    def test_non_ascii_var_rejected(self):
+        obj = to_json_obj(P("q"))
+        obj["vars"] = ["q", "p\u00e9"]
+        with pytest.raises(ValueError):
+            from_json_obj(obj)
+
+    def test_missing_vars_rejected(self):
+        obj = to_json_obj(P("q"))
+        del obj["vars"]
+        with pytest.raises(ValueError):
+            from_json_obj(obj)
+
+    def test_terms_object_rejected(self):
+        obj = to_json_obj(P("q"))
+        obj["terms"] = {"exp": [4, 0], "coeff": "1"}
+        with pytest.raises(ValueError):
+            from_json_obj(obj)
+
+    def test_terms_list_of_lists_rejected(self):
+        obj = to_json_obj(P("q"))
+        obj["terms"] = [[4, 0]]
+        with pytest.raises(ValueError):
+            from_json_obj(obj)
+
+    def test_wrong_arity_rejected(self):
+        with pytest.raises(ValueError):
+            from_json_obj(self.with_first_term("exp", [2]))
+
+    def test_missing_coefficient_rejected(self):
+        obj = to_json_obj(P("q"))
+        del obj["terms"][0]["coeff"]
+        with pytest.raises(ValueError):
+            from_json_obj(obj)
+
+    @pytest.mark.parametrize("coeff", ["\u0663", "+1", " 1", "1 ", ""])
+    def test_non_decimal_coefficient_rejected(self, coeff):
+        with pytest.raises(ValueError):
+            from_json_obj(self.with_first_term("coeff", coeff))
+
+    def test_top_level_array_rejected(self):
+        with pytest.raises(ValueError):
+            from_json("[1]")
+
+    def test_duplicates_merge_and_zeros_drop(self):
+        obj = to_json_obj(P("q - p"))
+        obj["terms"] += [{"exp": [4, 0], "coeff": "-1"}, {"exp": [0, 0], "coeff": "0"}]
+        assert from_json_obj(obj) == P("-p")
 
     def test_json_is_valid_json(self):
         parsed = json.loads(to_json(P("q - p")))

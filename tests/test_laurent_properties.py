@@ -218,6 +218,60 @@ def test_parse_inverts_canonical_string_one_var(f):
     assert parse(f.canonical_string(), CTX_T) == f
 
 
+def exponent_spellings(q: int) -> list[list[str]]:
+    """Every token spelling of the power q/4 after a variable name."""
+    minus = ["-"] if q < 0 else []
+    forms = [["^", "(", *minus, str(abs(q)), "/", "4", ")"]]
+    if q % 2 == 0:
+        forms.append(["^", "(", *minus, str(abs(q) // 2), "/", "2", ")"])
+    if q % 4 == 0:
+        forms += [["^", *minus, str(abs(q) // 4)], ["^", "(", *minus, str(abs(q) // 4), ")"]]
+    if q == 4:
+        forms.append([])
+    return forms
+
+
+@st.composite
+def spelled_polys(draw):
+    """A term dict in (q, p) and one non-canonical text for it: terms shuffled
+    and split into parts, an explicit `1*` or none, each power split into
+    repeated factors in any exponent form, whitespace between tokens."""
+    names = CTX_QP.names
+    exps = st.tuples(st.integers(-12, 12), st.integers(-12, 12))
+    terms = draw(st.dictionaries(exps, st.integers(-40, 40).filter(bool), max_size=5))
+    parts = []
+    for key, coeff in terms.items():
+        pieces = draw(st.lists(st.integers(-9, 9), max_size=2))
+        parts += [(key, c) for c in (*pieces, coeff - sum(pieces))]
+    parts = draw(st.permutations(parts)) or [((0, 0), 0)]
+    tokens = []
+    for i, (key, coeff) in enumerate(parts):
+        factors = []
+        for name, q in zip(names, key):
+            if q or draw(st.booleans()):
+                split = draw(st.lists(st.integers(-8, 8), max_size=2))
+                for piece in (*split, q - sum(split)):
+                    factors.append([name, *draw(st.sampled_from(exponent_spellings(piece)))])
+        factors = draw(st.permutations(factors))
+        sign = "-" if coeff < 0 else "+"
+        if i > 0 or sign == "-" or draw(st.booleans()):
+            tokens.append(sign)
+        if not factors or abs(coeff) != 1 or draw(st.booleans()):
+            tokens += [str(abs(coeff))] + (["*"] if factors else [])
+        for j, factor in enumerate(factors):
+            tokens += (["*"] if j else []) + factor
+    space = st.sampled_from(["", "", " ", "  ", "\t", "\n", "\r", "\f", "\v"])
+    text = draw(space) + "".join(token + draw(space) for token in tokens)
+    return terms, text
+
+
+@given(spelled_polys())
+@settings(max_examples=300)
+def test_parse_reads_every_spelling_of_a_term_dict(case):
+    terms, text = case
+    assert parse(text, CTX_QP).terms == terms
+
+
 @given(polys())
 def test_json_round_trip(f):
     text = to_json(f)
