@@ -10,15 +10,18 @@ Each row is one odd torus index; columns are the exact polynomials.
 from __future__ import annotations
 
 import argparse
+import sys
 
-from torkit import FAMILIES, torus_invariant
+from torkit import FAMILIES, InvalidTorusIndex, torus_invariant
+from torkit.laurent import decimal_int
+from torkit.skein import odd_index
 
 FAMILY_NAMES = sorted(FAMILIES)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n-max", type=int, default=9, help="largest odd index")
+    parser.add_argument("--n-max", type=decimal_int, default=9, help="largest odd index")
     parser.add_argument(
         "--family",
         choices=FAMILY_NAMES,
@@ -30,8 +33,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main() -> int:
     args = build_parser().parse_args()
-    if args.n_max < 1 or args.n_max % 2 == 0:
-        print("error: --n-max must be a positive odd integer")
+    try:
+        odd_index(args.n_max)
+    except InvalidTorusIndex as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     families = args.family or list(FAMILY_NAMES)
     for family in families:

@@ -14,9 +14,11 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import sys
 
 from torkit import (
     FAMILIES,
+    InvalidTorusIndex,
     LaurentPoly,
     NotTwoParameterForm,
     fit_ansatz,
@@ -25,6 +27,8 @@ from torkit import (
     qp_number,
     solve_parameters,
 )
+from torkit.laurent import decimal_int
+from torkit.skein import odd_index
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,17 +38,21 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(FAMILIES),
         default="generalized-alexander",
     )
-    parser.add_argument("--n-max", type=int, default=13, help="largest odd index to fit")
+    parser.add_argument("--n-max", type=decimal_int, default=13, help="largest odd index to fit")
     parser.add_argument(
-        "--check-to", type=int, default=21, help="largest odd index to cross-check"
+        "--check-to", type=decimal_int, default=21, help="largest odd index to cross-check"
     )
     return parser
 
 
 def main() -> int:
     args = build_parser().parse_args()
-    if args.n_max % 2 == 0 or args.check_to % 2 == 0:
-        print("error: indices must be odd")
+    try:
+        if odd_index(args.n_max) < 1:
+            raise InvalidTorusIndex(f"--n-max must be at least 3, got {args.n_max}: the fit needs T(3,2)")
+        odd_index(args.check_to)
+    except InvalidTorusIndex as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     spec = FAMILIES[args.family]
     pair = spec.knot_step

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .laurent import (
-    ContextMismatch,
     LaurentPoly,
     Monomial,
     Substitution,
@@ -219,11 +218,6 @@ def torus_invariant(family: str, n: int) -> LaurentPoly:
     return FAMILIES[family].value(n)
 
 
-def _require_context(f: LaurentPoly, context: VarContext, what: str) -> None:
-    if f.context != context:
-        raise ContextMismatch(f"{what} expects variables {context.names}, got {f.context.names}")
-
-
 # Compiled once, so homfly_to_generalized keeps the powers of z it builds.
 _TO_ALEXANDER = Substitution(QP_CTX, T_CTX, {"q": "t", "p": "t^(-1)"})
 _TO_JONES = Substitution(QP_CTX, T_CTX, {"q": "t^3", "p": "t"})
@@ -236,13 +230,11 @@ _HOMFLY_TO_GENERALIZED = Substitution(
 
 def to_alexander(f: LaurentPoly) -> LaurentPoly:
     """Specialize p -> q^(-1); the surviving axis is written t."""
-    _require_context(f, QP_CTX, "to_alexander")
     return f.substitute_monomial(T_CTX, _TO_ALEXANDER)
 
 
 def to_jones(f: LaurentPoly) -> LaurentPoly:
     """Specialize (q, p) -> (t^3, t)."""
-    _require_context(f, QP_CTX, "to_jones")
     return f.substitute_monomial(T_CTX, _TO_JONES)
 
 
@@ -252,5 +244,4 @@ def homfly_to_generalized(f: LaurentPoly) -> LaurentPoly:
     z is replaced by a genuine two-term polynomial, so f must carry only
     nonnegative powers of z; torus-knot homfly values do.
     """
-    _require_context(f, AZ_CTX, "homfly_to_generalized")
     return f.substitute_poly(QP_CTX, _HOMFLY_TO_GENERALIZED)

@@ -329,13 +329,13 @@ class LaurentPoly:
 
         Exponents combine in quarter units; a result finer than quarters, or a
         -1 sign raised to a fractional power, raises NonIntegralExponent.
-        Assignments may be Monomial values, single-term polynomials, or text
-        parsed in the target context, or a compiled Substitution.
+        Values are Monomials, polynomials or text in the target context (or a
+        compiled Substitution of them), each a +/-1 monomial, else ValueError.
         """
         if not isinstance(assignments, Substitution):
-            units = {name: _unit_monomial(target, name, assignments) for name in self._context}
-            assignments = Substitution(self._context, target, {**assignments, **units})
-        return assignments._apply(self, target, units_only=True)
+            assignments = Substitution(self._context, target, assignments)
+        assignments._require_units()
+        return assignments._apply(self, target)
 
     def substitute_poly(self, target: VarContext, assignments: Assignments) -> LaurentPoly:
         """Map variables to arbitrary polynomials in the target context.
@@ -393,10 +393,10 @@ class LaurentPoly:
             mag = abs(coeff)
             if body and mag == 1:
                 text = body
-            elif body:
-                text = f"{mag}*{body}"
             else:
-                text = str(mag)
+                text = str(mag) if mag < _BIG else _decimal(mag)
+                if body:
+                    text = f"{text}*{body}"
             if not parts:
                 parts.append(text if coeff > 0 else "-" + text)
             else:
@@ -573,6 +573,8 @@ class Substitution:
     A variable assigned a +/-1 monomial (a "mono" plan) takes any exponent;
     one assigned anything else (a "poly" plan) takes whole exponents >= 0,
     and each power of it is built once and kept, finished, for the object's life.
+    substitute_monomial takes mono plans only.  A mapping passed instead is
+    compiled to one of these first, so both forms raise the same errors.
     """
 
     __slots__ = ("source", "target", "_plans")
@@ -604,13 +606,22 @@ class Substitution:
             if name not in source:
                 raise UnknownVariable(f"assignment for {name!r}, which is not in {source.names}")
 
-    def _apply(self, f: LaurentPoly, target: VarContext, units_only: bool = False) -> LaurentPoly:
+    def _require_units(self) -> None:
+        """Raise ValueError unless every variable has a mono plan."""
+        for name, _, _, powers in self._plans:
+            if powers is not None:
+                who, coeffs = f"assignment for {name!r}", list(powers[1]._terms.values())
+                if len(coeffs) != 1:
+                    raise ValueError(f"{who} must be a single monomial")
+                raise ValueError(f"{who} must have coefficient +1 or -1, got {_decimal(coeffs[0])}")
+
+    def _apply(self, f: LaurentPoly, target: VarContext) -> LaurentPoly:
         """f with each term's mono shifts applied and its poly powers scaled into one sum."""
         if (f.context, target) != (self.source, self.target):
-            raise ContextMismatch(f"substitution maps {self.source.names} to {self.target.names}")
-        for name, _, _, powers in self._plans:
-            if units_only and powers is not None:
-                _unit_monomial(target, name, {name: powers[1]})  # raises: not a +/-1 monomial
+            raise ContextMismatch(
+                f"substitution maps {self.source.names} to {self.target.names}, "
+                f"not {f.context.names} to {target.names}"
+            )
         plans, width = self._plans, len(target)
         total: dict = {}
         get = total.get
@@ -671,30 +682,6 @@ def _power(powers: dict, k: int) -> LaurentPoly:
     return powers[k]
 
 
-def _unit_monomial(target: VarContext, name: str, assignments: Mapping[str, object]) -> Monomial:
-    """The +/-1 monomial in `target` that substitute_monomial assigns to name."""
-    if name not in assignments:
-        raise MissingAssignment(f"no assignment for variable {name!r}")
-    value, who = assignments[name], f"assignment for {name!r}"
-    if isinstance(value, str):
-        value = parse(value, target)
-    if isinstance(value, LaurentPoly):
-        if value.context != target:
-            raise ContextMismatch(f"{who} lives in {value.context.names}, not {target.names}")
-        if value.num_terms != 1:
-            raise ValueError(f"{who} must be a single monomial")
-        value = value.leading_monomial()
-    if not isinstance(value, Monomial):
-        raise TypeError(f"{who} must be a Monomial, single-term polynomial, or text")
-    if len(value.quarters) != len(target):
-        raise ContextMismatch(
-            f"{who} has arity {len(value.quarters)}, context {target.names} needs {len(target)}"
-        )
-    if value.coeff not in (1, -1):
-        raise ValueError(f"{who} must have coefficient +1 or -1, got {value.coeff}")
-    return value
-
-
 # -- exact square root -------------------------------------------------------
 
 
@@ -725,7 +712,7 @@ def exact_sqrt(f: LaurentPoly) -> LaurentPoly:
         raise NotAPerfectSquare("leading coefficient is negative")
     root = isqrt(lc)
     if root * root != lc:
-        raise NotAPerfectSquare(f"leading coefficient {lc} is not a perfect square")
+        raise NotAPerfectSquare(f"leading coefficient {_decimal(lc)} is not a perfect square")
     if any(q % 2 for q in lead):
         raise NotAPerfectSquare("leading exponent is not twice a quarter count")
     box = [(min(col), max(col)) for col in zip(*terms)]
@@ -817,7 +804,8 @@ def parse(text: str, context: VarContext) -> LaurentPoly:
     while True:
         pos, coeff, more = sign.end(), 1, True
         if m := _COEFF_RE.match(text, pos):
-            pos, coeff, more = m.end(), int(m[1]), m[2]
+            pos, digits, more = m.end(), m[1], m[2]
+            coeff = int(digits) if len(digits) <= _DIGITS else decimal_int(digits)
         exps = [0] * len(names)
         while more:
             if not (m := _FACTOR_RE.match(text, pos)):
@@ -856,7 +844,7 @@ def to_json_obj(f: LaurentPoly) -> dict:
         "vars": list(f.context.names),
         "exp_denominator": 4,
         "terms": [
-            {"exp": list(key), "coeff": str(terms[key])}
+            {"exp": list(key), "coeff": str(c) if -_BIG < (c := terms[key]) < _BIG else _decimal(c)}
             for key in sorted(terms, reverse=True)
         ],
     }
@@ -865,13 +853,33 @@ def to_json_obj(f: LaurentPoly) -> dict:
 # The one decimal-integer rule for outside input: JSON coefficients and CLI
 # integers.  int() alone would also take "+5", " 5 ", "1_000" and "\u0663".
 _DECIMAL_RE = re.compile(r"-?[0-9]+")
+# CPython >= 3.11 refuses str() and int() past 4300 digits by default, and a
+# process may lower that global limit to 640.  Past _DIGITS digits (_BIG),
+# decimal_int and _decimal convert in chunks of _DIGITS, within any limit.
+_DIGITS = 600
+_BIG = 10**_DIGITS
 
 
 def decimal_int(text: str) -> int:
     """`text` as an int if it is an optional '-' and ASCII digits, else ValueError."""
-    if isinstance(text, str) and _DECIMAL_RE.fullmatch(text):
+    if not (isinstance(text, str) and _DECIMAL_RE.fullmatch(text)):
+        raise ValueError(f"expected a decimal integer string, got {text!r}")
+    if len(text) <= _DIGITS:
         return int(text)
-    raise ValueError(f"expected a decimal integer string, got {text!r}")
+    n, digits = 0, text.lstrip("-")
+    for i in range(0, len(digits), _DIGITS):
+        chunk = digits[i : i + _DIGITS]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return -n if text[0] == "-" else n
+
+
+def _decimal(n: int) -> str:
+    """str(n) for an int of any size."""
+    sign, n, chunks = "-" * (n < 0), abs(n), []
+    while n >= _BIG:
+        n, low = divmod(n, _BIG)
+        chunks.append(f"{low:0{_DIGITS}d}")
+    return sign + str(n) + "".join(reversed(chunks))
 
 
 def from_json_obj(obj: dict) -> LaurentPoly:

@@ -197,9 +197,13 @@ class TestSubstitutions:
         assert homfly_to_generalized(homfly_torus(n)) == generalized_alexander_torus(n)
 
     def test_context_checked(self):
-        with pytest.raises(ContextMismatch):
-            to_alexander(alexander_torus(3))
-        with pytest.raises(ContextMismatch):
-            to_jones(homfly_torus(3))
-        with pytest.raises(ContextMismatch):
-            homfly_to_generalized(generalized_alexander_torus(3))
+        # Each message names the contexts mapped and the contexts given.
+        cases = [
+            (to_alexander, alexander_torus(3), "('q', 'p') to ('t',), not ('t',) to ('t',)"),
+            (to_jones, homfly_torus(3), "('q', 'p') to ('t',), not ('a', 'z') to ('t',)"),
+            (homfly_to_generalized, generalized_alexander_torus(3), "('a', 'z') to ('q', 'p'), not ('q', 'p') to ('q', 'p')"),
+        ]
+        for convert, value, contexts in cases:
+            with pytest.raises(ContextMismatch) as info:
+                convert(value)
+            assert str(info.value) == f"substitution maps {contexts}"

@@ -255,6 +255,20 @@ class TestSubstituteMonomial:
             P("q", CTX_Q), "substitute_monomial", CTX_T, {"q": P("q")},
         )
 
+    def test_non_polynomial_value_rejected(self):
+        assert_raises_in_both_forms(
+            TypeError,
+            "assignment for 'q' must be a polynomial",
+            P("q", CTX_Q), "substitute_monomial", CTX_T, {"q": 5},
+        )
+
+    def test_monomial_of_another_arity_rejected(self):
+        assert_raises_in_both_forms(
+            ContextMismatch,
+            "monomial arity 2 does not match context ('t',)",
+            P("q", CTX_Q), "substitute_monomial", CTX_T, {"q": Monomial.from_quarters((4, 0))},
+        )
+
 
 class TestSubstitutePoly:
     def test_homfly_bridge_for_the_trefoil(self):
@@ -387,6 +401,13 @@ class TestExactSqrt:
         # already lies outside half of the exponent box [-1, 0].
         with pytest.raises(NotAPerfectSquare, match="outside half the exponent box"):
             exact_sqrt(P("1 + 4*t^(-1)", CTX_T))
+
+    def test_nonsquare_coefficient_past_the_int_str_digit_limit(self):
+        # CPython >= 3.11 refuses str() on ints past 4300 digits by default;
+        # the error must still be NotAPerfectSquare, naming the coefficient.
+        with pytest.raises(NotAPerfectSquare) as info:
+            exact_sqrt(LaurentPoly(CTX_T, {(0,): 10 ** 4400 + 1}))
+        assert f"leading coefficient 1{'0' * 4399}1 is not" in str(info.value)
 
 
 class TestEvalRational:
@@ -560,6 +581,15 @@ class TestJson:
         text = to_json(f)
         assert from_json(text) == f
         assert to_json(from_json(text)) == text
+
+    def test_coefficients_past_the_int_str_digit_limit_round_trip(self):
+        # CPython >= 3.11 refuses str() and int() past 4300 digits by default.
+        f = LaurentPoly(CTX_QP, {(4, 0): 10 ** 5000, (0, 4): 1 - 10 ** 5000, (0, 0): 7 * 10 ** 4999 + 3})
+        digits = ["1" + "0" * 5000, "-" + "9" * 5000, "7" + "0" * 4998 + "3"]
+        assert str(f) == f"{digits[0]}*q {digits[1][0]} {digits[1][1:]}*p + {digits[2]}"
+        assert parse(str(f), CTX_QP) == f
+        assert [term["coeff"] for term in to_json_obj(f)["terms"]] == digits
+        assert from_json(to_json(f)) == f
 
     def test_huge_coefficients_survive(self):
         big = 10 ** 40 + 7

@@ -1,0 +1,50 @@
+"""The README demo scripts read their integer options as the CLI does.
+
+Integers follow the CLI's decimal rule, indices go through skein.odd_index,
+and a bad value exits 2 with one `error:` line and nothing on stdout.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *argv):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *argv], capture_output=True, text=True, env=env
+    )
+
+
+@pytest.mark.parametrize(
+    "name, argv, message",
+    [
+        ("invariant_tables.py", ["--n-max", "١"], "invalid decimal_int value"),
+        ("invariant_tables.py", ["--n-max", "0"], "error: torus index must be a positive integer, got 0"),
+        ("invariant_tables.py", ["--n-max", "4"], "error: T(4,2) is a two-component link"),
+        ("three_step_walkthrough.py", ["--n-max", "٣"], "invalid decimal_int value"),
+        ("three_step_walkthrough.py", ["--check-to", "+21"], "invalid decimal_int value"),
+        ("three_step_walkthrough.py", ["--n-max", "-1"], "error: torus index must be a positive integer, got -1"),
+        ("three_step_walkthrough.py", ["--n-max", "1"], "error: --n-max must be at least 3, got 1"),
+        ("three_step_walkthrough.py", ["--check-to", "4"], "error: T(4,2) is a two-component link"),
+    ],
+)
+def test_bad_integers_exit_2_with_one_error_line(name, argv, message):
+    proc = run_script(name, *argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0], proc.stderr
+
+
+def test_tables_accept_a_decimal_index():
+    proc = run_script("invariant_tables.py", "--n-max", "3", "--family", "jones")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "== jones ==\n  T(1,2): 1\n  T(3,2): -t^4 + t^3 + t\n\n"
