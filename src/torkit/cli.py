@@ -23,7 +23,7 @@ from .families import (
     to_alexander,
     to_jones,
 )
-from .laurent import LaurentPoly, TorkitError, decimal_int, parse, to_json_obj
+from .laurent import LaurentPoly, TorkitError, decimal_int, parse, to_json
 from .qnumbers import (
     QNumberKind,
     q_number,
@@ -66,13 +66,11 @@ class OutputRecord:
 
     def render(self) -> str:
         if self.representation == "json":
-            return json.dumps(
-                {
-                    "family": self.family,
-                    "n": self.n,
-                    "polynomial": to_json_obj(self.polynomial),
-                },
-                separators=(",", ":"),
+            # The bytes of json.dumps({"family", "n", "polynomial": to_json_obj(...)},
+            # separators=(",", ":")), with the polynomial written by to_json.
+            return (
+                f'{{"family":{json.dumps(self.family)},"n":{json.dumps(self.n)},'
+                f'"polynomial":{to_json(self.polynomial)}}}'
             )
         return self.polynomial.canonical_string()
 

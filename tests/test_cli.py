@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from conftest import CTX_QP, CTX_T
-from torkit import EvenIndexUnsupported, FamilySpec, InvalidTorusIndex, parse, to_json_obj
+from torkit import EvenIndexUnsupported, FamilySpec, InvalidTorusIndex, jones_number, parse, to_json_obj
 from torkit import cli, families, skein
 from torkit.cli import _corrupted_registry, main, run_verification
 from torkit.skein import odd_index
@@ -180,6 +180,33 @@ INTEGER_OPTIONS = [
     ["convert", "--from", "homfly", "--to", "generalized-alexander", "--n"],
     ["qnum", "--n"],
 ]
+
+
+class TestJsonRecordBytes:
+    """A JSON record is exactly the compact json.dumps of its three fields,
+    with the polynomial in to_json_obj form, for every command that prints one."""
+
+    CASES = [
+        (("compute", "--family", "generalized-alexander", "--n", "31"), "generalized-alexander",
+         lambda n: families.generalized_alexander_torus(n), [31]),
+        (("table", "--family", "jones", "--n-max", "9"), "jones", lambda n: families.jones_torus(n), [1, 3, 5, 7, 9]),
+        (("table", "--family", "homfly", "--n-max", "7"), "homfly", lambda n: families.homfly_torus(n), [1, 3, 5, 7]),
+        (("convert", "--from", "homfly", "--to", "generalized-alexander", "--n", "11"),
+         "homfly->generalized-alexander", lambda n: families.homfly_to_generalized(families.homfly_torus(n)), [11]),
+        (("qnum", "--kind", "jones", "--n", "6"), "qnum:jones", lambda n: jones_number(n), [6]),
+    ]
+
+    @staticmethod
+    def expected(label, n, value):
+        return json.dumps({"family": label, "n": n, "polynomial": to_json_obj(value)}, separators=(",", ":"))
+
+    @pytest.mark.parametrize("argv, label, build, ns", CASES, ids=[" ".join(c[0][:3]) for c in CASES])
+    def test_render_and_output_equal_json_dumps(self, capsys, argv, label, build, ns):
+        lines = [self.expected(label, n, build(n)) for n in ns]
+        assert [cli.OutputRecord(label, n, build(n), "json").render() for n in ns] == lines
+        rc, out, _ = run(capsys, *argv, "--format", "json")
+        assert rc == 0
+        assert out == "".join(line + "\n" for line in lines)
 
 
 class TestStrictIntegers:

@@ -33,6 +33,7 @@ from torkit import (
     to_json,
     to_json_obj,
 )
+from torkit.laurent import decimal_int
 
 
 def P(text: str, ctx=CTX_QP) -> LaurentPoly:
@@ -467,6 +468,17 @@ class TestCanonicalString:
         assert LaurentPoly.one(CTX_T).canonical_string() == "1"
         assert P("q - 1", CTX_Q).canonical_string() == "q - 1"
 
+    def test_exponents_past_the_int_str_digit_limit(self):
+        # CPython >= 3.11 refuses str() and int() past 4300 digits by default.
+        f = LaurentPoly(CTX_QP, {(4 * 10 ** 4300, -(10 ** 4400) - 2): -1, (0, 2 * 10 ** 4500 + 2): 3})
+        text = f"-q^1{'0' * 4300}*p^(-5{'0' * 4398}1/2) + 3*p^(1{'0' * 4499}1/2)"
+        assert str(f) == text
+        assert parse(text, CTX_QP) == f
+        g = LaurentPoly(CTX_T, {(-4 * 10 ** 4300 - 1,): -(10 ** 4400), (0,): 10 ** 4400})
+        text = f"1{'0' * 4400} - 1{'0' * 4400}*t^(-4{'0' * 4299}1/4)"
+        assert str(g) == text
+        assert parse(text, CTX_T) == g
+
 
 class TestParse:
     def test_round_trip_of_examples(self):
@@ -558,6 +570,17 @@ class TestParse:
         assert "malformed exponent" in str(err.value)
         assert err.value.position == position
 
+    def test_exponent_digits_past_the_int_str_digit_limit(self):
+        digits = "1" * 4400
+        assert parse(f"t^{digits}", CTX_T) == LaurentPoly(CTX_T, {(4 * decimal_int(digits),): 1})
+        assert parse(f"t^(-{digits}/004)", CTX_T) == LaurentPoly(CTX_T, {(-decimal_int(digits),): 1})
+
+    def test_long_denominator_rejected_at_its_position(self):
+        with pytest.raises(ParseError) as err:
+            parse("t^(1/" + "0" * 5000 + "3)", CTX_T)
+        assert "denominator" in str(err.value)
+        assert err.value.position == 5
+
     def test_unknown_variable_comes_before_its_exponent(self):
         with pytest.raises(UnknownVariable):
             parse("x^", CTX_QP)
@@ -590,6 +613,18 @@ class TestJson:
         assert parse(str(f), CTX_QP) == f
         assert [term["coeff"] for term in to_json_obj(f)["terms"]] == digits
         assert from_json(to_json(f)) == f
+
+    def test_exponents_past_the_int_str_digit_limit_round_trip(self):
+        # json.dumps and json.loads hit the same limit on JSON integers.
+        f = LaurentPoly(CTX_T, {(4 * 10 ** 4300,): 1, (-(10 ** 4400) - 1,): -2})
+        text = to_json(f)
+        assert text == (
+            '{"vars":["t"],"exp_denominator":4,"terms":'
+            f'[{{"exp":[4{"0" * 4300}],"coeff":"1"}},{{"exp":[-1{"0" * 4399}1],"coeff":"-2"}}]}}'
+        )
+        assert from_json(text) == f
+        g = LaurentPoly(CTX_QP, {(10 ** 4300, -(10 ** 4400)): 10 ** 4500, (0, 10 ** 4400): -1})
+        assert from_json(to_json(g)) == g
 
     def test_huge_coefficients_survive(self):
         big = 10 ** 40 + 7

@@ -3,6 +3,10 @@ round trips, and the square-root and evaluation contracts."""
 
 from __future__ import annotations
 
+import json
+import operator
+from math import gcd
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -19,8 +23,9 @@ from torkit import (
     q_number,
     qp_number,
     to_json,
+    to_json_obj,
 )
-from torkit.laurent import _schoolbook_mul
+from torkit.laurent import _BIG, _schoolbook_mul
 
 
 @given(polys(), polys(), polys())
@@ -270,6 +275,69 @@ def spelled_polys(draw):
 def test_parse_reads_every_spelling_of_a_term_dict(case):
     terms, text = case
     assert parse(text, CTX_QP).terms == terms
+
+
+# Every int drawn below prints with str() under the lowest int/str digit
+# limit a process may set (640), so the references need no chunked helper,
+# while magnitudes from _BIG up take the library's chunked path.
+_PRINTABLE = 10 ** 630
+
+
+def _past_big():
+    magnitude = st.integers(_BIG - 2, _PRINTABLE)
+    return st.one_of(magnitude, magnitude.map(operator.neg))
+
+
+@st.composite
+def rendered_polys(draw):
+    """Polynomials in one or two variables with +/-1 and small coefficients,
+    constant terms, whole, half and quarter exponents, and exponents and
+    coefficients past _BIG."""
+    context = draw(st.sampled_from((CTX_T, CTX_QP)))
+    exp = st.one_of(st.sampled_from((0, 4, -4)), st.integers(-13, 13), _past_big())
+    coeff = st.one_of(st.sampled_from((1, -1)), st.integers(-20, 20).filter(bool), _past_big())
+    terms = draw(st.dictionaries(st.tuples(*[exp] * len(context)), coeff, max_size=8))
+    return LaurentPoly(context, terms)
+
+
+def reference_string(f: LaurentPoly) -> str:
+    """canonical_string's contract, term by term: each term's powers joined
+    by '*', then its magnitude, then its sign or separator."""
+
+    def power(name: str, q: int) -> str:
+        if q == 4:
+            return name
+        if q % 4 == 0:
+            return f"{name}^{q // 4}" if q > 0 else f"{name}^({q // 4})"
+        g = gcd(abs(q), 4)
+        return f"{name}^({q // g}/{4 // g})"
+
+    parts = []
+    for mono in f.monomials():
+        body = "*".join(power(name, q) for name, q in zip(f.context.names, mono.quarters) if q)
+        mag = abs(mono.coeff)
+        text = body if body and mag == 1 else f"{mag}*{body}" if body else str(mag)
+        if not parts:
+            parts.append(text if mono.coeff > 0 else "-" + text)
+        else:
+            parts.append((" + " if mono.coeff > 0 else " - ") + text)
+    return "".join(parts) or "0"
+
+
+@given(rendered_polys())
+@settings(max_examples=300)
+def test_canonical_string_matches_the_reference_renderer(f):
+    text = f.canonical_string()
+    assert text == reference_string(f)
+    assert parse(text, f.context) == f
+
+
+@given(rendered_polys())
+@settings(max_examples=300)
+def test_to_json_is_the_compact_dump_of_to_json_obj(f):
+    text = to_json(f)
+    assert text == json.dumps(to_json_obj(f), separators=(",", ":"))
+    assert from_json(text) == f
 
 
 @given(polys())
