@@ -51,6 +51,7 @@ from .skein import (
     SkeinPair,
     TorusSequence,
     gen_odd_sequence,
+    knot_value,
     l_to_k,
     odd_index,
 )
@@ -81,9 +82,9 @@ class FamilySpec:
 
     def value(self, n: int) -> LaurentPoly:
         """The T(n,2) value for odd n: the closed form where the family has
-        one, otherwise the knot-step recurrence."""
+        one, otherwise the knot-step recurrence, holding two entries at a time."""
         if self.closed_form is None:
-            return gen_odd_sequence(self.knot_step, n, self.name).entry(n)
+            return knot_value(self.knot_step, n)
         return self.closed_form(odd_index(n))
 
     def sequence(self, n_max: int) -> TorusSequence:

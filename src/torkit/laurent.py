@@ -890,7 +890,7 @@ _BIG = 10**_DIGITS
 def decimal_int(text: str) -> int:
     """`text` as an int if it is an optional '-' and ASCII digits, else ValueError."""
     if not (isinstance(text, str) and _DECIMAL_RE.fullmatch(text)):
-        raise ValueError(f"expected a decimal integer string, got {text!r}")
+        raise ValueError(f"expected a decimal integer string, got {_shown(text)}")
     return _digits_int(text)
 
 
@@ -917,6 +917,15 @@ def _decimal(n: int) -> str:
     return sign + str(n) + "".join(reversed(chunks))
 
 
+def _shown(value) -> str:
+    """repr(value) for a rejected outside value, or its type name when it
+    holds an int past the int/str digit limit, where repr raises."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
 def from_json_obj(obj: dict) -> LaurentPoly:
     """Decode the to_json_obj form strictly: vars a list of names,
     exp_denominator the integer 4, terms a list of objects whose exponents are
@@ -926,19 +935,19 @@ def from_json_obj(obj: dict) -> LaurentPoly:
         raise ValueError("a polynomial is a JSON object")
     names, entries, den = obj.get("vars"), obj.get("terms"), obj.get("exp_denominator")
     if type(den) is not int or den != 4:
-        raise ValueError(f"exp_denominator must be the integer 4, got {den!r}")
+        raise ValueError(f"exp_denominator must be the integer 4, got {_shown(den)}")
     if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
-        raise ValueError(f"vars must be a list of variable names, got {names!r}")
+        raise ValueError(f"vars must be a list of variable names, got {_shown(names)}")
     if not isinstance(entries, list):
         raise ValueError("terms must be a list of objects")
     context = VarContext(tuple(names))
     terms: dict = {}
     for entry in entries:
         if not isinstance(entry, dict):
-            raise ValueError(f"terms must be a list of objects, got an entry {entry!r}")
+            raise ValueError(f"terms must be a list of objects, got an entry {_shown(entry)}")
         exps = entry.get("exp")
         if not isinstance(exps, list) or len(exps) != len(names) or any(type(q) is not int for q in exps):
-            raise ValueError(f"exp must be {len(names)} integer quarter counts, got {exps!r}")
+            raise ValueError(f"exp must be {len(names)} integer quarter counts, got {_shown(exps)}")
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + decimal_int(entry.get("coeff"))
     return LaurentPoly._make(context, {k: v for k, v in terms.items() if v})
@@ -977,4 +986,13 @@ def to_json(f: LaurentPoly) -> str:
 
 
 def from_json(text: str) -> LaurentPoly:
-    return from_json_obj(json.loads(text, parse_int=_digits_int))
+    # The default int parser stays in C; only an integer past the int/str
+    # digit limit, which it refuses, makes the decode fall back to
+    # _digits_int, called once per integer.
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        obj = json.loads(text, parse_int=_digits_int)
+    return from_json_obj(obj)

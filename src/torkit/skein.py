@@ -21,6 +21,7 @@ verifies against every entry it is given.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Mapping
 
 from .laurent import (
@@ -156,15 +157,29 @@ def k_to_l(pair: KnotStepPair) -> SkeinPair:
     raise NotInvertible("neither sign of sqrt(-k2) makes k1 - 2*l2 a perfect square")
 
 
+def _knot_values(pair: KnotStepPair) -> Iterator[LaurentPoly]:
+    """P(1), P(3), P(5), ... from the bases P(1) = 1, P(3) = k1 + k2, holding
+    only the two entries the next step reads."""
+    k1, k2 = pair.k1, pair.k2
+    prev = LaurentPoly.one(pair.context)
+    yield prev
+    cur = k1 + k2
+    while True:
+        yield cur
+        prev, cur = cur, k1 * cur + k2 * prev
+
+
 def gen_odd_sequence(pair: KnotStepPair, n_max: int, label: str = "") -> TorusSequence:
     """Knot values for odd n <= n_max from the bases P(1) = 1, P(3) = k1 + k2."""
     odd_index(n_max)
-    entries: dict[int, LaurentPoly] = {1: LaurentPoly.one(pair.context)}
-    if n_max >= 3:
-        entries[3] = pair.k1 + pair.k2
-    for n in range(5, n_max + 1, 2):
-        entries[n] = pair.k1 * entries[n - 2] + pair.k2 * entries[n - 4]
-    return TorusSequence(label, entries)
+    return TorusSequence(label, dict(zip(range(1, n_max + 1, 2), _knot_values(pair))))
+
+
+def knot_value(pair: KnotStepPair, n: int) -> LaurentPoly:
+    """The odd-n entry of gen_odd_sequence(pair, n), computed while holding
+    two entries at a time rather than all (n+1)/2."""
+    m = odd_index(n)
+    return next(islice(_knot_values(pair), m, None))
 
 
 def gen_full_sequence(

@@ -6,7 +6,11 @@ larger indices are cross-checked closed form against recurrence.
 
 from __future__ import annotations
 
+import tracemalloc
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from conftest import CTX_AZ, CTX_QP, CTX_T
 from torkit import (
@@ -29,6 +33,7 @@ from torkit import (
     to_jones,
     torus_invariant,
 )
+from torkit.skein import knot_value
 
 FROZEN = {
     "alexander": {
@@ -80,12 +85,31 @@ class TestClosedFormAgreesWithRecurrence:
         seq = gen_odd_sequence(spec.knot_step, 21)
         fn, _ = COMPUTE[family]
         for n in range(1, 22, 2):
-            assert fn(n) == seq.entry(n)
+            assert fn(n) == knot_value(spec.knot_step, n) == seq.entry(n)
 
     def test_homfly_uses_recurrence_directly(self):
-        seq = gen_odd_sequence(HOMFLY.knot_step, 13)
-        for n in range(1, 14, 2):
-            assert homfly_torus(n) == seq.entry(n)
+        # value(n) runs the knot step on its own, holding two entries; the
+        # sequence path is the oracle.
+        seq = gen_odd_sequence(HOMFLY.knot_step, 401)
+        for n in (*range(1, 14, 2), 201, 401):
+            assert homfly_torus(n) == HOMFLY.value(n) == seq.entry(n)
+
+    @given(st.integers(0, 60))
+    @settings(max_examples=30, deadline=None)
+    def test_homfly_value_matches_its_sequence(self, m):
+        n = 2 * m + 1
+        assert HOMFLY.value(n) == gen_odd_sequence(HOMFLY.knot_step, n).entry(n)
+
+    def test_homfly_value_does_not_hold_the_sequence(self):
+        # The whole sequence to n = 401 peaks at about 7.5 MiB, the two live
+        # entries at about 0.3 MiB.
+        tracemalloc.start()
+        try:
+            homfly_torus(401)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestIndexValidation:

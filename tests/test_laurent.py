@@ -33,7 +33,7 @@ from torkit import (
     to_json,
     to_json_obj,
 )
-from torkit.laurent import decimal_int
+from torkit.laurent import _digits_int, decimal_int
 
 
 def P(text: str, ctx=CTX_QP) -> LaurentPoly:
@@ -719,6 +719,45 @@ class TestJson:
     def test_top_level_array_rejected(self):
         with pytest.raises(ValueError):
             from_json("[1]")
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("exp_denominator", "exp_denominator must be the integer 4, got <int too long to print>"),
+            ("exp", "exp must be 2 integer quarter counts, got <list too long to print>"),
+            ("entry", "terms must be a list of objects, got an entry <list too long to print>"),
+            ("coeff", "expected a decimal integer string, got <int too long to print>"),
+            ("vars", "vars must be a list of variable names, got <list too long to print>"),
+        ],
+        ids=["exp_denominator", "exp", "entry", "coeff", "vars"],
+    )
+    def test_rejected_values_past_the_int_str_digit_limit_keep_the_library_message(self, field, message):
+        # repr() of an int past CPython's int/str digit limit raises its own
+        # "Exceeds the limit" error; the message must not go through it.
+        big = "1" * 5000
+        text = to_json(P("q"))
+        text = {
+            "exp_denominator": text.replace('"exp_denominator":4', f'"exp_denominator":{big}'),
+            "exp": text.replace("[4,0]", f"[4,{big},0]"),
+            "entry": text.replace('{"exp":[4,0],"coeff":"1"}', f"[{big}]"),
+            "coeff": text.replace('"coeff":"1"', f'"coeff":{big}'),
+            "vars": text.replace('["q","p"]', f'["q",{big}]'),
+        }[field]
+        with pytest.raises(ValueError) as info:
+            from_json(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"vars":["t"],"exp_denominator":4,"terms":[', "{1}", "", "[1" + "0" * 5000 + ","],
+        ids=["truncated", "bad-key", "empty", "long-int-then-truncated"],
+    )
+    def test_malformed_json_raises_what_the_any_size_decoder_raises(self, text):
+        with pytest.raises(json.JSONDecodeError) as info:
+            from_json(text)
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(text, parse_int=_digits_int)
+        assert str(info.value) == str(expected.value)
 
     def test_duplicates_merge_and_zeros_drop(self):
         obj = to_json_obj(P("q - p"))
