@@ -83,22 +83,22 @@ def main() -> int:
     print()
 
     print(f"step 3: fit P(2m+1) = a1*[m+1] - a2*[m] against indices 1..{args.n_max}")
-    seq = gen_odd_sequence(pair, args.n_max, label=spec.name)
+    seq = gen_odd_sequence(pair, args.n_max)
     coeffs = fit_ansatz(seq, u, v)
     print(f"  a1 = {coeffs.a1}")
     print(f"  a2 = {coeffs.a2}")
     print()
 
     print(f"cross-check: closed form vs recurrence up to n = {args.check_to}")
-    long_seq = gen_odd_sequence(pair, args.check_to, label=spec.name)
+    long_seq = gen_odd_sequence(pair, args.check_to)
     fresh = ("u", "v")
     for n in range(1, args.check_to + 1, 2):
         m = (n - 1) // 2
         head = qp_number(m + 1, fresh).substitute_monomial(ctx, dict(zip(fresh, (u, v))))
         tail = qp_number(m, fresh).substitute_monomial(ctx, dict(zip(fresh, (u, v))))
         closed = coeffs.a1 * head - coeffs.a2 * tail
-        status = "ok" if closed == long_seq.entry(n) else "MISMATCH"
-        print(f"  n = {n:>2}: {status}  {long_seq.entry(n)}")
+        status = "ok" if closed == long_seq[n] else "MISMATCH"
+        print(f"  n = {n:>2}: {status}  {long_seq[n]}")
         if status != "ok":
             return 1
     print()

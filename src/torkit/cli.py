@@ -35,7 +35,6 @@ from .report import CheckFailure, CheckReport, compare
 from .skein import (
     InvalidTorusIndex,
     KnotStepPair,
-    TorusSequence,
     fit_ansatz,
     gen_full_sequence,
     gen_odd_sequence,
@@ -43,7 +42,6 @@ from .skein import (
     l_to_k,
     odd_index,
     solve_parameters,
-    verify_interleave,
 )
 
 FAMILY_NAMES = tuple(FAMILIES)
@@ -88,7 +86,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     seq = FAMILIES[args.family].sequence(args.n_max)
-    for n, value in seq.entries.items():
+    for n, value in seq.items():
         record = OutputRecord(args.family, n, value, args.format)
         if args.format == "json":
             print(record.render())
@@ -153,15 +151,15 @@ def run_verification(
     reg = registry if registry is not None else FAMILIES
 
     @cache
-    def values(family: str) -> TorusSequence:
+    def values(family: str) -> dict[int, LaurentPoly]:
         return reg[family].sequence(n_max)
 
     @cache
-    def recurrence(family: str) -> TorusSequence:
+    def recurrence(family: str) -> dict[int, LaurentPoly]:
         spec = reg[family]
         if spec.closed_form is None:
             return values(family)  # which already is the recurrence
-        return gen_odd_sequence(spec.knot_step, n_max, family)
+        return gen_odd_sequence(spec.knot_step, n_max)
 
     @cache
     def full(family: str) -> dict[int, LaurentPoly]:
@@ -169,15 +167,14 @@ def run_verification(
         base2 = spec.hopf if spec.hopf is not None else spec.skein.l1
         return gen_full_sequence(spec.skein, LaurentPoly.one(spec.context), base2, n_max)
 
-    def closed_vs_recurrence(family: str, name: str) -> CheckReport:
-        oracle, closed = recurrence(family), values(family)
-        return compare(name, ((n, value, closed.entry(n)) for n, value in oracle.entries.items()))
-
-    def substitution(
-        source: str, target: str, mapping: Callable[[LaurentPoly], LaurentPoly], name: str
+    def agree(
+        name: str,
+        lhs: dict[int, LaurentPoly],
+        rhs: dict[int, LaurentPoly],
+        mapping: Callable[[LaurentPoly], LaurentPoly] = lambda value: value,
     ) -> CheckReport:
-        lhs, rhs = values(source), values(target)
-        return compare(name, ((n, mapping(value), rhs.entry(n)) for n, value in lhs.entries.items()))
+        # mapping(lhs[n]) against rhs[n] for every n that rhs holds.
+        return compare(name, ((n, mapping(lhs[n]), value) for n, value in rhs.items()))
 
     def qp_reduction(name: str) -> CheckReport:
         cases = ((n, to_alexander(qp_number(n)), q_number(n, "t")) for n in range(n_max + 1))
@@ -194,9 +191,6 @@ def run_verification(
                 CheckFailure(1, f"(a1, a2) = ({coeffs.a1}, {coeffs.a2})", f"({expect_a1}, {expect_a2})")
             )
         return CheckReport(name, (n_max + 1) // 2, tuple(failures))
-
-    def interleave(family: str, name: str) -> CheckReport:
-        return verify_interleave(reg[family].skein, full(family), name)
 
     def roundtrip(family: str, name: str) -> CheckReport:
         k = l_to_k(reg[family].skein)
@@ -218,21 +212,24 @@ def run_verification(
         return compare(name, cases)
 
     checks = [
+        # Each lambda binds its loop variables as defaults, and builds its
+        # sequences when the guard calls it.
         *(
-            (f"closed-form-vs-recurrence[{f}]", partial(closed_vs_recurrence, f))
+            (f"closed-form-vs-recurrence[{f}]", lambda name, f=f: agree(name, recurrence(f), values(f)))
             for f, spec in reg.items()
             if spec.closed_form is not None
         ),
         *(
-            (f"substitute[{source}->{target}]", partial(substitution, source, target, mapping))
-            for (source, target), mapping in _CONVERSIONS.items()
+            (f"substitute[{s}->{t}]", lambda name, s=s, t=t, m=m: agree(name, values(s), values(t), m))
+            for (s, t), m in _CONVERSIONS.items()
         ),
         ("q-number-recurrence", lambda name: verify_q_recurrence(n_max)),
         ("qp-number-recurrence", lambda name: verify_qp_recurrence(n_max)),
         ("qp-number-reduces-to-q", qp_reduction),
         *((f"ansatz[{f}]", partial(ansatz, f)) for f in _EXPECTED_ANSATZ),
+        # The odd entries of the full step against the family's own knot step.
         *(
-            (f"interleave[{f}]", partial(interleave, f))
+            (f"interleave[{f}]", lambda name, f=f: agree(name, full(f), recurrence(f)))
             for f, spec in reg.items()
             if spec.hopf is not None
         ),

@@ -49,7 +49,6 @@ from .skein import EvenIndexUnsupported  # noqa: F401  (re-exported)
 from .skein import (
     KnotStepPair,
     SkeinPair,
-    TorusSequence,
     gen_odd_sequence,
     knot_value,
     l_to_k,
@@ -87,12 +86,11 @@ class FamilySpec:
             return knot_value(self.knot_step, n)
         return self.closed_form(odd_index(n))
 
-    def sequence(self, n_max: int) -> TorusSequence:
-        """Values for every odd n <= n_max, chosen as value() chooses."""
+    def sequence(self, n_max: int) -> dict[int, LaurentPoly]:
+        """Values for every odd n <= n_max, keyed by n, chosen as value() chooses."""
         if self.closed_form is None:
-            return gen_odd_sequence(self.knot_step, n_max, self.name)
-        top = odd_index(n_max)
-        return TorusSequence(self.name, {2 * m + 1: self.closed_form(m) for m in range(top + 1)})
+            return gen_odd_sequence(self.knot_step, n_max)
+        return {2 * m + 1: self.closed_form(m) for m in range(odd_index(n_max) + 1)}
 
 
 def _invert_monomial(m: Monomial) -> Monomial:

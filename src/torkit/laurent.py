@@ -83,10 +83,6 @@ class VarContext:
             if not _NAME_RE.fullmatch(name):
                 raise ValueError(f"invalid variable name {name!r}")
 
-    @classmethod
-    def of(cls, *names: str) -> VarContext:
-        return cls(tuple(names))
-
     def index(self, name: str) -> int:
         try:
             return self.names.index(name)
@@ -189,12 +185,6 @@ class LaurentPoly:
     @classmethod
     def constant(cls, context: VarContext, value: int) -> LaurentPoly:
         return cls(context, {(0,) * len(context): value})
-
-    @classmethod
-    def variable(cls, context: VarContext, name: str) -> LaurentPoly:
-        exps = [0] * len(context)
-        exps[context.index(name)] = 4
-        return cls(context, {tuple(exps): 1})
 
     @classmethod
     def from_monomial(cls, context: VarContext, mono: Monomial) -> LaurentPoly:
@@ -917,13 +907,20 @@ def _decimal(n: int) -> str:
     return sign + str(n) + "".join(reversed(chunks))
 
 
+_SHOWN_CHARS = 80
+
+
 def _shown(value) -> str:
-    """repr(value) for a rejected outside value, or its type name when it
-    holds an int past the int/str digit limit, where repr raises."""
+    """repr(value) for a rejected outside value, cut to its first
+    _SHOWN_CHARS characters and its length when longer, or its type name when
+    it holds an int past the int/str digit limit, where repr raises."""
     try:
-        return repr(value)
+        text = repr(value)
     except ValueError:
         return f"<{type(value).__name__} too long to print>"
+    if len(text) <= _SHOWN_CHARS:
+        return text
+    return f"{text[:_SHOWN_CHARS]}... ({len(text)} characters)"
 
 
 def from_json_obj(obj: dict) -> LaurentPoly:

@@ -33,7 +33,6 @@ from .laurent import (
     VarContext,
     exact_sqrt,
 )
-from .report import CheckReport, compare
 
 
 class InvalidTorusIndex(TorkitError, ValueError):
@@ -114,24 +113,6 @@ class AnsatzCoefficients:
     a2: LaurentPoly
 
 
-@dataclass(frozen=True)
-class TorusSequence:
-    """Invariants of T(n,2) for odd n, keyed by n, with a display label."""
-
-    label: str
-    entries: Mapping[int, LaurentPoly]
-
-    def entry(self, n: int) -> LaurentPoly:
-        try:
-            return self.entries[n]
-        except KeyError:
-            raise KeyError(f"sequence {self.label!r} has no entry for n={n}") from None
-
-    @property
-    def n_max(self) -> int:
-        return max(self.entries)
-
-
 def l_to_k(pair: SkeinPair) -> KnotStepPair:
     """Compose the full step with itself: k1 = l1^2 + 2 l2, k2 = -l2^2."""
     return KnotStepPair(pair.l1 * pair.l1 + 2 * pair.l2, -(pair.l2 * pair.l2))
@@ -157,29 +138,33 @@ def k_to_l(pair: KnotStepPair) -> SkeinPair:
     raise NotInvertible("neither sign of sqrt(-k2) makes k1 - 2*l2 a perfect square")
 
 
-def _knot_values(pair: KnotStepPair) -> Iterator[LaurentPoly]:
-    """P(1), P(3), P(5), ... from the bases P(1) = 1, P(3) = k1 + k2, holding
-    only the two entries the next step reads."""
-    k1, k2 = pair.k1, pair.k2
-    prev = LaurentPoly.one(pair.context)
+def _steps(
+    c1: LaurentPoly, c2: LaurentPoly, first: LaurentPoly, second: LaurentPoly
+) -> Iterator[LaurentPoly]:
+    """first, second, then c1 * cur + c2 * prev for each later entry, holding
+    only the two entries the next step reads.  The full step runs it with
+    (l1, l2) and the knot-only step with (k1, k2)."""
+    prev, cur = first, second
     yield prev
-    cur = k1 + k2
     while True:
         yield cur
-        prev, cur = cur, k1 * cur + k2 * prev
+        prev, cur = cur, c1 * cur + c2 * prev
 
 
-def gen_odd_sequence(pair: KnotStepPair, n_max: int, label: str = "") -> TorusSequence:
-    """Knot values for odd n <= n_max from the bases P(1) = 1, P(3) = k1 + k2."""
+def gen_odd_sequence(pair: KnotStepPair, n_max: int) -> dict[int, LaurentPoly]:
+    """Knot values for odd n <= n_max, keyed by n, from the bases P(1) = 1,
+    P(3) = k1 + k2."""
     odd_index(n_max)
-    return TorusSequence(label, dict(zip(range(1, n_max + 1, 2), _knot_values(pair))))
+    steps = _steps(pair.k1, pair.k2, LaurentPoly.one(pair.context), pair.k1 + pair.k2)
+    return dict(zip(range(1, n_max + 1, 2), steps))
 
 
 def knot_value(pair: KnotStepPair, n: int) -> LaurentPoly:
     """The odd-n entry of gen_odd_sequence(pair, n), computed while holding
     two entries at a time rather than all (n+1)/2."""
     m = odd_index(n)
-    return next(islice(_knot_values(pair), m, None))
+    steps = _steps(pair.k1, pair.k2, LaurentPoly.one(pair.context), pair.k1 + pair.k2)
+    return next(islice(steps, m, None))
 
 
 def gen_full_sequence(
@@ -189,17 +174,14 @@ def gen_full_sequence(
 
     base1 is the n=1 value (normally 1); base2 is the n=2 torus-link value,
     which the knot-only machinery never determines, so the caller owns it.
+    With base1 = 1, the odd entries equal gen_odd_sequence(l_to_k(pair), ...)
+    exactly when l1*base2 = l1^2 + l2 - l2^2, the n=3 consistency condition.
     """
     if type(n_max) is not int or n_max < 1:
         raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
     _require_same_context(base1, pair.l1, "bases and pair")
     _require_same_context(base2, pair.l1, "bases and pair")
-    seq = {1: base1}
-    if n_max >= 2:
-        seq[2] = base2
-    for n in range(3, n_max + 1):
-        seq[n] = pair.l1 * seq[n - 1] + pair.l2 * seq[n - 2]
-    return seq
+    return dict(zip(range(1, n_max + 1), _steps(pair.l1, pair.l2, base1, base2)))
 
 
 def solve_parameters(pair: KnotStepPair) -> tuple[Monomial, Monomial]:
@@ -241,44 +223,30 @@ def _qp_numbers(u: Monomial, v: Monomial, context: VarContext) -> Iterator[Laure
         key, sign = tuple(e + d for e, d in zip(key, u.quarters)), sign * u.coeff
 
 
-def fit_ansatz(seq: TorusSequence, qhat: Monomial, phat: Monomial) -> AnsatzCoefficients:
-    """Fit P(2m+1) = a1 [m+1]_{qhat,phat} - a2 [m]_{qhat,phat} to a sequence.
+def fit_ansatz(seq: Mapping[int, LaurentPoly], qhat: Monomial, phat: Monomial) -> AnsatzCoefficients:
+    """Fit P(2m+1) = a1 [m+1]_{qhat,phat} - a2 [m]_{qhat,phat} to a sequence
+    keyed by odd n.
 
     a1 is the n=1 entry and a2 = a1 (qhat + phat) - P(3); both follow from
     the first two knots, after which every entry of seq is checked against
-    the ansatz and any deviation raises AnsatzMismatch.  qhat and phat must
-    be +/-1 monomials (ValueError otherwise).
+    the ansatz and any deviation raises AnsatzMismatch.  Every key passes
+    odd_index first, so a key that is no knot index raises InvalidTorusIndex.
+    qhat and phat must be +/-1 monomials (ValueError otherwise).
     """
+    indices = sorted((odd_index(n), n) for n in seq)
     for needed in (1, 3):
-        if needed not in seq.entries:
+        if needed not in seq:
             raise ValueError(f"sequence must contain entries 1 and 3, missing {needed}")
-    a1 = seq.entry(1)
+    a1 = seq[1]
     context = a1.context
     step = LaurentPoly.from_monomial(context, qhat) + LaurentPoly.from_monomial(context, phat)
-    a2 = a1 * step - seq.entry(3)
+    a2 = a1 * step - seq[3]
     numbers = _qp_numbers(qhat, phat, context)
     m, low, high = 0, next(numbers), next(numbers)  # [m] and [m+1]
-    for n in sorted(seq.entries):
-        while m < (n - 1) // 2:
+    for target, n in indices:
+        while m < target:
             m, low, high = m + 1, high, next(numbers)
         expected = a1 * high - a2 * low
-        if expected != seq.entry(n):
-            raise AnsatzMismatch(
-                f"entry n={n} is {seq.entry(n)} but the ansatz gives {expected}"
-            )
+        if expected != seq[n]:
+            raise AnsatzMismatch(f"entry n={n} is {seq[n]} but the ansatz gives {expected}")
     return AnsatzCoefficients(a1, a2)
-
-
-def verify_interleave(
-    pair: SkeinPair, full: Mapping[int, LaurentPoly], name: str = "interleave"
-) -> CheckReport:
-    """Compare the odd entries of a full sequence, as gen_full_sequence(pair,
-    ...) returns it, against the knot-only recurrence of l_to_k(pair) for
-    every odd n it holds.
-
-    The odd entries agree exactly when the sequence's base2 satisfies
-    l1*base2 = l1^2 + l2 - l2^2, the n=3 consistency condition.
-    """
-    top = max(full)
-    odd = gen_odd_sequence(l_to_k(pair), top if top % 2 else top - 1)
-    return compare(name, ((n, full[n], value) for n, value in odd.entries.items()))

@@ -69,8 +69,8 @@ def test_c02_closed_form_vs_recurrence(capsys):
         gen_seq = gen_odd_sequence(FAMILIES["generalized-alexander"].knot_step, 41)
         alex_seq = gen_odd_sequence(FAMILIES["alexander"].knot_step, 41)
         for n in range(1, 42, 2):
-            assert generalized_alexander_torus(n) == gen_seq.entry(n)
-            assert alexander_torus(n) == alex_seq.entry(n)
+            assert generalized_alexander_torus(n) == gen_seq[n]
+            assert alexander_torus(n) == alex_seq[n]
         assert time.monotonic() - start < 1.0
 
 

@@ -85,20 +85,20 @@ class TestClosedFormAgreesWithRecurrence:
         seq = gen_odd_sequence(spec.knot_step, 21)
         fn, _ = COMPUTE[family]
         for n in range(1, 22, 2):
-            assert fn(n) == knot_value(spec.knot_step, n) == seq.entry(n)
+            assert fn(n) == knot_value(spec.knot_step, n) == seq[n]
 
     def test_homfly_uses_recurrence_directly(self):
         # value(n) runs the knot step on its own, holding two entries; the
         # sequence path is the oracle.
         seq = gen_odd_sequence(HOMFLY.knot_step, 401)
         for n in (*range(1, 14, 2), 201, 401):
-            assert homfly_torus(n) == HOMFLY.value(n) == seq.entry(n)
+            assert homfly_torus(n) == HOMFLY.value(n) == seq[n]
 
     @given(st.integers(0, 60))
     @settings(max_examples=30, deadline=None)
     def test_homfly_value_matches_its_sequence(self, m):
         n = 2 * m + 1
-        assert HOMFLY.value(n) == gen_odd_sequence(HOMFLY.knot_step, n).entry(n)
+        assert HOMFLY.value(n) == gen_odd_sequence(HOMFLY.knot_step, n)[n]
 
     def test_homfly_value_does_not_hold_the_sequence(self):
         # The whole sequence to n = 401 peaks at about 7.5 MiB, the two live
@@ -153,9 +153,9 @@ class TestValuePath:
     def test_sequence_matches_value(self, family):
         spec = FAMILIES[family]
         seq = spec.sequence(9)
-        assert sorted(seq.entries) == [1, 3, 5, 7, 9]
+        assert sorted(seq) == [1, 3, 5, 7, 9]
         for n in (1, 3, 5, 7, 9):
-            assert seq.entry(n) == spec.value(n) == COMPUTE[family][0](n)
+            assert seq[n] == spec.value(n) == COMPUTE[family][0](n)
 
     @pytest.mark.parametrize("family", sorted(COMPUTE))
     def test_sequence_bound_validated(self, family):

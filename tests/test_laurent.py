@@ -747,6 +747,34 @@ class TestJson:
             from_json(text)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("case", ["exp", "coeff", "decimal_int"])
+    def test_long_rejected_values_give_short_messages(self, case):
+        # The value is cut to a prefix and its total length is named.
+        head = '{"vars":["q","p"],"exp_denominator":4,"terms":[{"exp":'
+        if case == "exp":
+            shown = repr([1] * 200_000)
+            call = lambda: from_json(head + "[" + ",".join(["1"] * 200_000) + '],"coeff":"1"}]}')
+        elif case == "coeff":
+            shown = repr("x" * 500_000)
+            call = lambda: from_json(head + '[4,0],"coeff":"' + "x" * 500_000 + '"}]}')
+        else:
+            shown = repr("1" * 5000 + "x")
+            call = lambda: decimal_int("1" * 5000 + "x")
+        with pytest.raises(ValueError) as info:
+            call()
+        message = str(info.value)
+        assert len(message) < 200
+        assert message.endswith(f"got {shown[:80]}... ({len(shown)} characters)")
+
+    def test_rejected_values_up_to_80_characters_print_whole(self):
+        with pytest.raises(ValueError) as info:
+            decimal_int("+5")
+        assert str(info.value) == "expected a decimal integer string, got '+5'"
+        for den, shown in [("x" * 78, repr("x" * 78)), ("x" * 79, f"{repr('x' * 79)[:80]}... (81 characters)")]:
+            with pytest.raises(ValueError) as info:
+                from_json_obj({**to_json_obj(P("q")), "exp_denominator": den})
+            assert str(info.value) == f"exp_denominator must be the integer 4, got {shown}"
+
     @pytest.mark.parametrize(
         "text",
         ['{"vars":["t"],"exp_denominator":4,"terms":[', "{1}", "", "[1" + "0" * 5000 + ","],

@@ -1,12 +1,15 @@
-"""The README demo scripts read their integer options as the CLI does.
+"""The README's demo scripts and its library example.
 
-Integers follow the CLI's decimal rule, indices go through skein.odd_index,
-and a bad value exits 2 with one `error:` line and nothing on stdout.
+The scripts read their integer options as the CLI does: integers follow the
+CLI's decimal rule, indices go through skein.odd_index, and a bad value exits
+2 with one `error:` line and nothing on stdout.  The `## Library` block runs
+as written and prints what its comments say.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -48,3 +51,15 @@ def test_tables_accept_a_decimal_index():
     proc = run_script("invariant_tables.py", "--n-max", "3", "--family", "jones")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "== jones ==\n  T(1,2): 1\n  T(3,2): -t^4 + t^3 + t\n\n"
+
+
+def test_readme_library_block_runs_and_prints_its_comments():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```$", readme, re.S | re.M)
+    assert block, "README has no ## Library python block"
+    code = block[1]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    comments = [line.split("# ", 1)[1] for line in code.splitlines() if line.startswith("print(")]
+    assert proc.stdout.splitlines() == comments

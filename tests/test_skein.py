@@ -17,13 +17,14 @@ from conftest import CTX_AZ, CTX_QP, CTX_T, polys
 from torkit import (
     AnsatzMismatch,
     ContextMismatch,
+    EvenIndexUnsupported,
+    InvalidTorusIndex,
     KnotStepPair,
     LaurentPoly,
     Monomial,
     NotInvertible,
     NotTwoParameterForm,
     SkeinPair,
-    TorusSequence,
     fit_ansatz,
     gen_full_sequence,
     gen_odd_sequence,
@@ -32,7 +33,6 @@ from torkit import (
     parse,
     qp_number,
     solve_parameters,
-    verify_interleave,
 )
 from torkit.skein import _qp_numbers
 
@@ -118,13 +118,12 @@ class TestKToL:
 class TestSequences:
     def test_odd_bases(self):
         seq = gen_odd_sequence(kp(*GEN_K), 3)
-        assert seq.entry(1) == LaurentPoly.one(CTX_QP)
-        assert seq.entry(3) == parse("q + p - q*p", CTX_QP)
+        assert seq == {1: LaurentPoly.one(CTX_QP), 3: parse("q + p - q*p", CTX_QP)}
 
     def test_odd_recurrence_step(self):
         seq = gen_odd_sequence(kp(*GEN_K), 7)
         k1, k2 = parse(GEN_K[0], CTX_QP), parse(GEN_K[1], CTX_QP)
-        assert seq.entry(7) == k1 * seq.entry(5) + k2 * seq.entry(3)
+        assert seq[7] == k1 * seq[5] + k2 * seq[3]
 
     def test_odd_rejects_even_bound(self):
         with pytest.raises(ValueError):
@@ -158,11 +157,13 @@ class TestSequences:
         assert seq[3] != parse("q + p - q*p", CTX_QP)
 
     def test_entry_lookup_error(self):
+        # Odd keys up to n_max and nothing else.
         seq = gen_odd_sequence(kp(*GEN_K), 5)
+        assert list(seq) == [1, 3, 5]
         with pytest.raises(KeyError):
-            seq.entry(7)
+            seq[7]
         with pytest.raises(KeyError):
-            seq.entry(2)
+            seq[2]
 
 
 class TestSolveParameters:
@@ -217,10 +218,25 @@ class TestFitAnsatz:
         pair = kp(*GEN_K)
         u, v = solve_parameters(pair)
         seq = gen_odd_sequence(pair, 9)
-        entries = dict(seq.entries)
-        entries[7] = entries[7] + parse("q", CTX_QP)
+        seq[7] = seq[7] + parse("q", CTX_QP)
         with pytest.raises(AnsatzMismatch):
-            fit_ansatz(TorusSequence(seq.label, entries), u, v)
+            fit_ansatz(seq, u, v)
+
+    @pytest.mark.parametrize("key", [0, -1, 11.0])
+    def test_key_that_is_no_torus_index_is_rejected(self, key):
+        # Every key must be a knot index; 0 and -1 would otherwise meet the n=1 ansatz value.
+        pair = kp(*JONES_K, CTX_T)
+        seq = gen_odd_sequence(pair, 9)
+        seq[key] = seq[1]
+        with pytest.raises(InvalidTorusIndex):
+            fit_ansatz(seq, *solve_parameters(pair))
+
+    def test_even_key_raises_the_index_error_not_a_mismatch(self):
+        pair = kp(*JONES_K, CTX_T)
+        seq = gen_odd_sequence(pair, 9)
+        seq[2] = LaurentPoly.one(CTX_T)
+        with pytest.raises(EvenIndexUnsupported):
+            fit_ansatz(seq, *solve_parameters(pair))
 
     def test_non_unit_parameter_rejected(self):
         pair = kp(*GEN_K)
@@ -230,40 +246,46 @@ class TestFitAnsatz:
 
     def test_requires_first_two_knots(self):
         with pytest.raises(ValueError):
-            fit_ansatz(TorusSequence("partial", {1: LaurentPoly.one(CTX_QP)}), *solve_parameters(kp(*GEN_K)))
+            fit_ansatz({1: LaurentPoly.one(CTX_QP)}, *solve_parameters(kp(*GEN_K)))
 
 
 class TestInterleave:
+    """The odd entries of the full step against the knot-only step of l_to_k."""
+
     @staticmethod
-    def full(pair, base2, n_max):
-        return gen_full_sequence(pair, LaurentPoly.one(pair.context), base2, n_max)
+    def odd_pairs(pair, base2, n_max):
+        full = gen_full_sequence(pair, LaurentPoly.one(pair.context), base2, n_max)
+        knots = gen_odd_sequence(l_to_k(pair), n_max if n_max % 2 else n_max - 1)
+        return {n: value for n, value in full.items() if n % 2}, knots
 
     def test_alexander_hopf(self):
-        pair = sp(*ALEX_L, CTX_T)
-        report = verify_interleave(pair, self.full(pair, parse("t^(1/2) - t^(-1/2)", CTX_T), 21))
-        assert report.passed
+        odd, knots = self.odd_pairs(sp(*ALEX_L, CTX_T), parse("t^(1/2) - t^(-1/2)", CTX_T), 21)
+        assert odd == knots
 
     def test_jones_hopf(self):
-        pair = sp(*JONES_L, CTX_T)
-        report = verify_interleave(pair, self.full(pair, parse("-t^(1/2) - t^(5/2)", CTX_T), 21))
-        assert report.passed
+        odd, knots = self.odd_pairs(sp(*JONES_L, CTX_T), parse("-t^(1/2) - t^(5/2)", CTX_T), 21)
+        assert odd == knots
 
     def test_homfly_hopf(self):
-        pair = sp(*HOMFLY_L, CTX_AZ)
         base2 = parse("a*z + a*z^(-1) - a^3*z^(-1)", CTX_AZ)
-        report = verify_interleave(pair, self.full(pair, base2, 15))
-        assert report.passed
+        odd, knots = self.odd_pairs(sp(*HOMFLY_L, CTX_AZ), base2, 15)
+        assert odd == knots
 
     def test_inconsistent_base_is_reported(self):
-        pair = sp(*ALEX_L, CTX_T)
-        report = verify_interleave(pair, self.full(pair, LaurentPoly.one(CTX_T), 9))
-        assert not report.passed
-        assert report.failures[0].n == 3
+        odd, knots = self.odd_pairs(sp(*ALEX_L, CTX_T), LaurentPoly.one(CTX_T), 9)
+        assert list(odd) == list(knots) == [1, 3, 5, 7, 9]
+        assert [n for n in odd if odd[n] != knots[n]][0] == 3
 
     def test_even_top_checks_every_odd_entry_below_it(self):
+        odd, knots = self.odd_pairs(sp(*ALEX_L, CTX_T), parse("t^(1/2) - t^(-1/2)", CTX_T), 10)
+        assert list(odd) == [1, 3, 5, 7, 9]
+        assert odd == knots
+
+    def test_bases_alone_for_the_smallest_bounds(self):
         pair = sp(*ALEX_L, CTX_T)
-        report = verify_interleave(pair, self.full(pair, parse("t^(1/2) - t^(-1/2)", CTX_T), 10), "x")
-        assert (report.name, report.checked, report.passed) == ("x", 5, True)
+        base1, base2 = parse("t", CTX_T), parse("t^2", CTX_T)
+        assert gen_full_sequence(pair, base1, base2, 1) == {1: base1}
+        assert gen_full_sequence(pair, base1, base2, 2) == {1: base1, 2: base2}
 
 
 # -- properties ----------------------------------------------------------------
