@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from torkit import FAMILIES, InvalidTorusIndex, torus_invariant
+from torkit import FAMILIES, InvalidTorusIndex
 from torkit.laurent import decimal_int
 from torkit.skein import odd_index
 
@@ -41,8 +41,7 @@ def main() -> int:
     families = args.family or list(FAMILY_NAMES)
     for family in families:
         print(f"== {family} ==")
-        for n in range(1, args.n_max + 1, 2):
-            value = torus_invariant(family, n)
+        for n, value in FAMILIES[family].sequence(args.n_max).items():
             print(f"  T({n},2): {value}")
         print()
     return 0

@@ -24,8 +24,8 @@ from torkit import (
     fit_ansatz,
     gen_odd_sequence,
     k_to_l,
-    qp_number,
     solve_parameters,
+    uv_number,
 )
 from torkit.laurent import decimal_int
 from torkit.skein import odd_index
@@ -91,12 +91,9 @@ def main() -> int:
 
     print(f"cross-check: closed form vs recurrence up to n = {args.check_to}")
     long_seq = gen_odd_sequence(pair, args.check_to)
-    fresh = ("u", "v")
     for n in range(1, args.check_to + 1, 2):
         m = (n - 1) // 2
-        head = qp_number(m + 1, fresh).substitute_monomial(ctx, dict(zip(fresh, (u, v))))
-        tail = qp_number(m, fresh).substitute_monomial(ctx, dict(zip(fresh, (u, v))))
-        closed = coeffs.a1 * head - coeffs.a2 * tail
+        closed = coeffs.a1 * uv_number(m + 1, u, v, ctx) - coeffs.a2 * uv_number(m, u, v, ctx)
         status = "ok" if closed == long_seq[n] else "MISMATCH"
         print(f"  n = {n:>2}: {status}  {long_seq[n]}")
         if status != "ok":

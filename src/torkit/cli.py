@@ -25,7 +25,7 @@ from .families import (
 )
 from .laurent import LaurentPoly, TorkitError, decimal_int, parse, to_json
 from .qnumbers import (
-    QNumberKind,
+    jones_number,
     q_number,
     qp_number,
     verify_q_recurrence,
@@ -51,6 +51,9 @@ _CONVERSIONS: dict[tuple[str, str], Callable[[LaurentPoly], LaurentPoly]] = {
     ("generalized-alexander", "jones"): to_jones,
     ("homfly", "generalized-alexander"): homfly_to_generalized,
 }
+
+# qnum's --kind spellings and the numbers they print.
+_NUMBER_KINDS = {"q": q_number, "qp": qp_number, "jones": jones_number}
 
 
 @dataclass(frozen=True)
@@ -111,8 +114,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
 def cmd_qnum(args: argparse.Namespace) -> int:
     if args.n < 0:
         return _usage_error(f"--n must be >= 0, got {args.n}")
-    kind = QNumberKind(args.kind)
-    value = kind.construct(args.n)
+    value = _NUMBER_KINDS[args.kind](args.n)
     record = OutputRecord(f"qnum:{args.kind}", args.n, value, args.format)
     print(record.render())
     return 0
@@ -299,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_convert.set_defaults(func=cmd_convert)
 
     p_qnum = sub.add_parser("qnum", help="print a q-, (q,p)-, or (t^3,t)-number")
-    p_qnum.add_argument("--kind", choices=[k.value for k in QNumberKind], default="q")
+    p_qnum.add_argument("--kind", choices=tuple(_NUMBER_KINDS), default="q")
     p_qnum.add_argument("--n", type=decimal_int, required=True)
     add_format(p_qnum)
     p_qnum.set_defaults(func=cmd_qnum)

@@ -44,7 +44,7 @@ from .laurent import (
     VarContext,
     parse,
 )
-from .qnumbers import jones_number, q_number, qp_number
+from .qnumbers import QP_CTX, T_CTX, jones_number, q_number, qp_number
 from .skein import EvenIndexUnsupported  # noqa: F401  (re-exported)
 from .skein import (
     KnotStepPair,
@@ -55,8 +55,6 @@ from .skein import (
     odd_index,
 )
 
-T_CTX = VarContext(("t",))
-QP_CTX = VarContext(("q", "p"))
 AZ_CTX = VarContext(("a", "z"))
 
 
@@ -208,13 +206,6 @@ def jones_torus(n: int) -> LaurentPoly:
 def homfly_torus(n: int) -> LaurentPoly:
     """Homfly value of T(n,2), odd n, generated by the knot-only recurrence."""
     return HOMFLY.value(n)
-
-
-def torus_invariant(family: str, n: int) -> LaurentPoly:
-    """The value of T(n,2) in the family registered under this name."""
-    if family not in FAMILIES:
-        raise KeyError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
-    return FAMILIES[family].value(n)
 
 
 # Compiled once, so homfly_to_generalized keeps the powers of z it builds.

@@ -83,14 +83,6 @@ class VarContext:
             if not _NAME_RE.fullmatch(name):
                 raise ValueError(f"invalid variable name {name!r}")
 
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise UnknownVariable(
-                f"variable {name!r} is not in context {self.names}"
-            ) from None
-
     def __len__(self) -> int:
         return len(self.names)
 
@@ -299,7 +291,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> LaurentPoly:
-        if not isinstance(e, int):
+        if type(e) is not int:  # not isinstance(): bool is an int subclass and is rejected
             return NotImplemented
         if e < 0:
             raise ValueError("negative powers of a general Laurent polynomial are undefined")

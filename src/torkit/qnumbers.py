@@ -1,15 +1,13 @@
-"""Symmetric q-numbers and their two-parameter (q,p) generalization.
+"""The paper's deformed integers [n]_{u,v} and their three named cases.
 
-The symmetric q-number [n]_q = (q^n - q^-n) / (q - q^-1) is built directly
-as the explicit sum q^(n-1) + q^(n-3) + ... + q^(1-n), never by division.
-Its two-parameter cousin [n]_{q,p} = (q^n - p^n) / (q - p) is the sum
-q^(n-1) + q^(n-2)*p + ... + p^(n-1), and specializing p -> q^(-1) recovers
-[n]_q.  The Jones-flavored special case uses the pair (t^3, t).
+For +/-1 monomials u and v, [n]_{u,v} = (u^n - v^n) / (u - v) is built
+directly as the explicit sum u^(n-1) + u^(n-2) v + ... + v^(n-1), never by
+division; uv_number is the one place that builds it.  The named cases are
+the symmetric q-number [n]_q = [n]_{q,q^(-1)} (q_number), its two-parameter
+cousin [n]_{q,p} (qp_number), which recovers [n]_q under p -> q^(-1), and
+the Jones-flavored [n]_{t^3,t} (jones_number).  Every [n]_{u,v} satisfies
 
-Both sequences satisfy three-term recurrences:
-
-    [n+1]_q    = (q + q^(-1)) [n]_q    - [n-1]_q
-    [n+1]_{q,p} = (q + p)     [n]_{q,p} - q p [n-1]_{q,p}
+    [n+1]_{u,v} = (u + v) [n]_{u,v} - u v [n-1]_{u,v}
 
 which verify_q_recurrence and verify_qp_recurrence confirm by exact
 polynomial equality.
@@ -17,58 +15,68 @@ polynomial equality.
 
 from __future__ import annotations
 
-import enum
+from itertools import islice, repeat
 
-from .laurent import LaurentPoly, VarContext, parse
+from .laurent import ContextMismatch, LaurentPoly, Monomial, VarContext
 from .report import CheckReport, compare
 
 
-def _check_count(n: int, what: str) -> None:
-    """n must be an int >= 0; bool and other int look-alikes are rejected."""
+def uv_number(n: int, u: Monomial, v: Monomial, context: VarContext) -> LaurentPoly:
+    """[n]_{u,v} as the explicit sum of n terms u^(n-1-j) v^j, j = 0..n-1.
+
+    Term j sits at (n-1) u + j (v - u) in exponents and carries the sign
+    s1 * s2^j, with s1 the sign of u^(n-1) and s2 = sign(u) sign(v).  When u
+    and v share exponents all n terms meet in one key, where they sum (or
+    cancel, when the signs differ).  n must be an int >= 0 (bool is
+    rejected), u and v must have coefficient +/-1 (ValueError otherwise) and
+    the context's arity (ContextMismatch otherwise).
+    """
     if type(n) is not int or n < 0:
-        raise ValueError(f"{what} are defined for integers n >= 0, got {n!r}")
+        raise ValueError(f"[n]_{{u,v}} is defined for integers n >= 0, got {n!r}")
+    for w in (u, v):
+        if w.coeff not in (1, -1):
+            raise ValueError(f"[n]_{{u,v}} needs +/-1 monomials, got coefficient {w.coeff}")
+        if len(w.quarters) != len(context.names):
+            raise ContextMismatch(f"monomial exponents {w.quarters} do not fit context {context.names}")
+    s1 = u.coeff if n % 2 == 0 else 1
+    if u.quarters == v.quarters:
+        total = n * s1 if u.coeff == v.coeff else s1 * (n % 2)
+        top = tuple((n - 1) * e for e in u.quarters)  # where all n terms meet
+        return LaurentPoly._make(context, {top: total} if total else {})
+    # Each variable's exponents across the terms: (n-1) x + j (y - x), j = 0..n-1.
+    axes = [
+        range((n - 1) * x, n * y - x, y - x) if x != y else repeat((n - 1) * x, n)
+        for x, y in zip(u.quarters, v.quarters)
+    ]
+    terms = dict.fromkeys(zip(*axes), s1)
+    if u.coeff != v.coeff:  # s2 = -1: the odd-numbered terms flip sign
+        for key in islice(terms, 1, None, 2):
+            terms[key] = -s1
+    return LaurentPoly._make(context, terms)
 
 
-# The default variables' contexts; the sums below build their terms directly.
+# The named cases' contexts (families shares T_CTX and QP_CTX) and parameter pairs.
 _Q_CTX = VarContext(("q",))
-_QP_CTX = VarContext(("q", "p"))
-_T_CTX = VarContext(("t",))
+T_CTX = VarContext(("t",))
+QP_CTX = VarContext(("q", "p"))
+_Q_PAIR = (Monomial((4,), 1), Monomial((-4,), 1))
+_QP_PAIR = (Monomial((4, 0), 1), Monomial((0, 4), 1))
+_JONES_PAIR = (Monomial((12,), 1), Monomial((4,), 1))
 
 
 def q_number(n: int, var: str = "q") -> LaurentPoly:
-    """[n]_q as the explicit sum of n monomials q^(n-1-2j), j = 0..n-1."""
-    _check_count(n, "q-numbers")
-    context = _Q_CTX if var == "q" else VarContext((var,))
-    return LaurentPoly._make(context, {(4 * (n - 1 - 2 * j),): 1 for j in range(n)})
+    """[n]_q = [n]_{q,q^(-1)}, the sum of the n monomials q^(n-1-2j)."""
+    return uv_number(n, *_Q_PAIR, _Q_CTX if var == "q" else T_CTX if var == "t" else VarContext((var,)))
 
 
-def qp_number(n: int, variables: tuple[str, str] = ("q", "p")) -> LaurentPoly:
-    """[n]_{q,p} as the explicit sum of n monomials q^(n-1-j) p^j."""
-    _check_count(n, "q,p-numbers")
-    context = _QP_CTX if tuple(variables) == ("q", "p") else VarContext(tuple(variables))
-    return LaurentPoly._make(context, {(4 * (n - 1 - j), 4 * j): 1 for j in range(n)})
+def qp_number(n: int) -> LaurentPoly:
+    """[n]_{q,p}, the sum of the n monomials q^(n-1-j) p^j."""
+    return uv_number(n, *_QP_PAIR, QP_CTX)
 
 
-def jones_number(n: int, var: str = "t") -> LaurentPoly:
-    """[n] for the parameter pair (t^3, t): the sum of t^(3(n-1-j)+j)."""
-    _check_count(n, "q,p-numbers")
-    context = _T_CTX if var == "t" else VarContext((var,))
-    return LaurentPoly._make(context, {(4 * (3 * (n - 1 - j) + j),): 1 for j in range(n)})
-
-
-class QNumberKind(enum.Enum):
-    """Which number family a caller wants, keyed by CLI spelling."""
-
-    SYMMETRIC = "q"
-    TWO_PARAMETER = "qp"
-    JONES = "jones"
-
-    def construct(self, n: int) -> LaurentPoly:
-        if self is QNumberKind.SYMMETRIC:
-            return q_number(n)
-        if self is QNumberKind.TWO_PARAMETER:
-            return qp_number(n)
-        return jones_number(n)
+def jones_number(n: int) -> LaurentPoly:
+    """[n]_{t^3,t}, the sum of the n monomials t^(3(n-1-j)+j)."""
+    return uv_number(n, *_JONES_PAIR, T_CTX)
 
 
 def _neighbours(build, n_max: int):
@@ -80,16 +88,20 @@ def _neighbours(build, n_max: int):
         below, here = here, above
 
 
+def _verify_recurrence(name: str, build, pair, context: VarContext, n_max: int) -> CheckReport:
+    """Check [n+1] = (u + v)[n] - uv [n-1] exactly for 1 <= n <= n_max, where
+    build(n) is [n]_{u,v} for the pair (u, v) of +/-1 monomials."""
+    u, v = (LaurentPoly.from_monomial(context, w) for w in pair)
+    step, product = u + v, u * v
+    cases = ((n, above, step * here - product * below) for n, below, here, above in _neighbours(build, n_max))
+    return compare(name, cases)
+
+
 def verify_q_recurrence(n_max: int) -> CheckReport:
     """Check [n+1] = (q + q^(-1))[n] - [n-1] exactly for 1 <= n <= n_max."""
-    step = parse("q + q^(-1)", _Q_CTX)
-    cases = ((n, above, step * here - below) for n, below, here, above in _neighbours(q_number, n_max))
-    return compare("q-number-recurrence", cases)
+    return _verify_recurrence("q-number-recurrence", q_number, _Q_PAIR, _Q_CTX, n_max)
 
 
 def verify_qp_recurrence(n_max: int) -> CheckReport:
     """Check [n+1] = (q + p)[n] - qp [n-1] exactly for 1 <= n <= n_max."""
-    step = parse("q + p", _QP_CTX)
-    qp = parse("q*p", _QP_CTX)
-    cases = ((n, above, step * here - qp * below) for n, below, here, above in _neighbours(qp_number, n_max))
-    return compare("qp-number-recurrence", cases)
+    return _verify_recurrence("qp-number-recurrence", qp_number, _QP_PAIR, QP_CTX, n_max)

@@ -28,9 +28,6 @@ class CheckReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def first_failure(self) -> CheckFailure | None:
-        return self.failures[0] if self.failures else None
-
     def format_line(self) -> str:
         if self.passed:
             return f"PASS {self.name} ({self.checked} cases)"

@@ -33,6 +33,7 @@ from .laurent import (
     VarContext,
     exact_sqrt,
 )
+from .qnumbers import uv_number
 
 
 class InvalidTorusIndex(TorkitError, ValueError):
@@ -206,23 +207,6 @@ def solve_parameters(pair: KnotStepPair) -> tuple[Monomial, Monomial]:
     return u, v
 
 
-def _qp_numbers(u: Monomial, v: Monomial, context: VarContext) -> Iterator[LaurentPoly]:
-    """[0], [1], [2], ... in the +/-1 monomials u and v, each built from the
-    one before by exponent arithmetic: [m+1]_{u,v} = v [m]_{u,v} + u^m."""
-    for w in (u, v):
-        if w.coeff not in (1, -1):
-            raise ValueError(f"two-parameter numbers need +/-1 monomials, got coefficient {w.coeff}")
-    terms: dict = {}
-    key, sign = (0,) * len(context), 1  # u^m
-    while True:
-        yield LaurentPoly._make(context, terms)
-        terms = {tuple(e + d for e, d in zip(k, v.quarters)): c * v.coeff for k, c in terms.items()}
-        c = terms.pop(key, 0) + sign  # only u == v in exponents makes terms meet
-        if c:
-            terms[key] = c
-        key, sign = tuple(e + d for e, d in zip(key, u.quarters)), sign * u.coeff
-
-
 def fit_ansatz(seq: Mapping[int, LaurentPoly], qhat: Monomial, phat: Monomial) -> AnsatzCoefficients:
     """Fit P(2m+1) = a1 [m+1]_{qhat,phat} - a2 [m]_{qhat,phat} to a sequence
     keyed by odd n.
@@ -239,13 +223,12 @@ def fit_ansatz(seq: Mapping[int, LaurentPoly], qhat: Monomial, phat: Monomial) -
             raise ValueError(f"sequence must contain entries 1 and 3, missing {needed}")
     a1 = seq[1]
     context = a1.context
-    step = LaurentPoly.from_monomial(context, qhat) + LaurentPoly.from_monomial(context, phat)
-    a2 = a1 * step - seq[3]
-    numbers = _qp_numbers(qhat, phat, context)
-    m, low, high = 0, next(numbers), next(numbers)  # [m] and [m+1]
-    for target, n in indices:
-        while m < target:
-            m, low, high = m + 1, high, next(numbers)
+    a2 = a1 * uv_number(2, qhat, phat, context) - seq[3]  # [2] = qhat + phat
+    last, high = None, None  # the previous entry's m and its [m+1]
+    for m, n in indices:
+        low = high if last == m - 1 else uv_number(m, qhat, phat, context)
+        high = uv_number(m + 1, qhat, phat, context)
+        last = m
         expected = a1 * high - a2 * low
         if expected != seq[n]:
             raise AnsatzMismatch(f"entry n={n} is {seq[n]} but the ansatz gives {expected}")

@@ -31,7 +31,6 @@ from torkit import (
     parse,
     to_alexander,
     to_jones,
-    torus_invariant,
 )
 from torkit.skein import knot_value
 
@@ -135,17 +134,12 @@ class TestIndexValidation:
         with pytest.raises(InvalidTorusIndex):
             fn(bad)
         with pytest.raises(InvalidTorusIndex):
-            torus_invariant(family, bad)
+            FAMILIES[family].value(bad)
 
     @pytest.mark.parametrize("bad", [True, 3.0, "3"])
     def test_non_int_bound_rejected_by_recurrence(self, bad):
         with pytest.raises(InvalidTorusIndex):
             gen_odd_sequence(JONES.knot_step, bad)
-
-    def test_dispatch(self):
-        assert torus_invariant("jones", 3) == jones_torus(3)
-        with pytest.raises(KeyError):
-            torus_invariant("kauffman", 3)
 
 
 class TestValuePath:

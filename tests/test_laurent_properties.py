@@ -16,6 +16,7 @@ from torkit import (
     LaurentPoly,
     Monomial,
     Substitution,
+    VarContext,
     exact_sqrt,
     from_json,
     jones_number,
@@ -24,6 +25,7 @@ from torkit import (
     qp_number,
     to_json,
     to_json_obj,
+    uv_number,
 )
 from torkit.laurent import _BIG, _schoolbook_mul
 
@@ -133,17 +135,19 @@ def test_substitute_poly_results_are_canonical(term_list):
 @pytest.mark.parametrize(
     "build, names",
     [
-        (q_number, ("q", "t", "x")),
-        (jones_number, ("t", "q", "y")),
+        (q_number, (("q",), ("t",), ("x",))),
+        (jones_number, (("t",), ("q",), ("y",))),
         (qp_number, (("q", "p"), ("p", "q"), ("u", "v"))),
     ],
 )
 def test_q_numbers_are_canonical(build, names):
-    # They are built by trusted construction, so check what it assumes.
+    # They are built by trusted construction, so check what it assumes, also
+    # for uv_number over renamed variables with the two monomials of [2].
+    u, v = build(2).monomials()
     for n in range(201):
         assert_canonical(build(n))
         for name in names:
-            assert_canonical(build(n, name))
+            assert_canonical(uv_number(n, u, v, VarContext(name)))
 
 
 def naive_substitute(f: LaurentPoly, target, assignments: dict) -> LaurentPoly:

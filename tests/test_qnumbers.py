@@ -1,4 +1,5 @@
-"""Tests for symmetric q-numbers, (q,p)-numbers, and the (t^3, t) special case.
+"""Tests for the deformed integers [n]_{u,v}: the builder uv_number, symmetric
+q-numbers, (q,p)-numbers, and the (t^3, t) special case.
 
 Frozen values are the first few members of each family written out by hand;
 the quotient identities multiply back up so no division is ever needed.
@@ -10,15 +11,41 @@ import pytest
 
 from conftest import CTX_Q, CTX_QP, CTX_T
 from torkit import (
-    QNumberKind,
+    ContextMismatch,
+    Monomial,
     jones_number,
     parse,
     q_number,
     qp_number,
     to_alexander,
+    uv_number,
     verify_q_recurrence,
     verify_qp_recurrence,
 )
+from torkit.cli import _NUMBER_KINDS
+
+T = Monomial((4,), 1)
+
+
+class TestUVNumber:
+    def test_equal_exponents_meet_in_one_term(self):
+        minus_t = Monomial((4,), -1)
+        assert uv_number(3, T, minus_t, CTX_T) == parse("t^2", CTX_T)
+        assert uv_number(4, T, minus_t, CTX_T).is_zero()
+        assert uv_number(4, T, T, CTX_T) == parse("4*t^3", CTX_T)
+
+    def test_bad_count_rejected(self):
+        for n in (-1, True):
+            with pytest.raises(ValueError):
+                uv_number(n, T, T, CTX_T)
+
+    def test_non_unit_coefficient_rejected(self):
+        with pytest.raises(ValueError):
+            uv_number(3, Monomial((4,), 2), T, CTX_T)
+
+    def test_wrong_arity_rejected(self):
+        with pytest.raises(ContextMismatch):
+            uv_number(3, T, Monomial((4, 0), 1), CTX_T)
 
 
 class TestQNumber:
@@ -133,6 +160,12 @@ class TestJonesNumber:
 
 class TestKind:
     def test_dispatch(self):
-        assert QNumberKind("q").construct(4) == q_number(4)
-        assert QNumberKind("qp").construct(4) == qp_number(4)
-        assert QNumberKind("jones").construct(4) == jones_number(4)
+        # qnum's kinds are [n]_{u,v} at (q, q^(-1)), (q, p) and (t^3, t)
+        kinds = {
+            "q": (Monomial((4,), 1), Monomial((-4,), 1), CTX_Q),
+            "qp": (Monomial((4, 0), 1), Monomial((0, 4), 1), CTX_QP),
+            "jones": (Monomial((12,), 1), T, CTX_T),
+        }
+        assert set(_NUMBER_KINDS) == set(kinds)
+        for kind, (u, v, context) in kinds.items():
+            assert _NUMBER_KINDS[kind](4) == uv_number(4, u, v, context)

@@ -1,9 +1,11 @@
-"""The README's demo scripts and its library example.
+"""The README's demo scripts, its library example, and the export list they
+import from.
 
 The scripts read their integer options as the CLI does: integers follow the
 CLI's decimal rule, indices go through skein.odd_index, and a bad value exits
 2 with one `error:` line and nothing on stdout.  The `## Library` block runs
-as written and prints what its comments say.
+as written and prints what its comments say.  `torkit.__all__` names exactly
+the public names the package binds, apart from its submodules.
 """
 
 from __future__ import annotations
@@ -13,8 +15,11 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
+
+import torkit
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -63,3 +68,15 @@ def test_readme_library_block_runs_and_prints_its_comments():
     assert proc.returncode == 0, proc.stderr
     comments = [line.split("# ", 1)[1] for line in code.splitlines() if line.startswith("print(")]
     assert proc.stdout.splitlines() == comments
+
+
+def test_export_list_is_what_the_package_binds():
+    bound = {
+        name
+        for name, value in vars(torkit).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert sorted(torkit.__all__) == sorted(bound)
+    namespace: dict = {}
+    exec("from torkit import *", namespace)
+    assert set(torkit.__all__) <= set(namespace)
