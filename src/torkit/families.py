@@ -18,6 +18,11 @@ Family data, with m = (n-1)/2 for odd n:
     jones                  t        l1 = t^(3/2) - t^(1/2)    l2 = t^2
                                     closed form [m+1]_{t^3,t} - t^4 [m]_{t^3,t}
     homfly                 a, z     l1 = a z                  l2 = a^2
+                                    closed form a^(2m) ([m+1]_w - a^2 [m]_w)
+
+with w = z^2 + 2 and [k]_w = sum_j C(k+j, 2j+1) z^(2j) (Chebyshev U; cf.
+V. Jones, Ann. of Math. 126, 1987).  value(n) is always the closed form and
+sequence(n_max) the knot-step recurrence: two independent paths.
 
 Note on the alexander step: with l2 = 1 and k1 = t + t^(-1), only
 l1 = +/-(t^(1/2) - t^(-1/2)) satisfies l1^2 + 2 l2 = k1; the superficially
@@ -35,6 +40,7 @@ q^(1/4) p^(-1/4) - q^(-1/4) p^(1/4).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Callable, Optional
 
 from .laurent import (
@@ -50,7 +56,6 @@ from .skein import (
     KnotStepPair,
     SkeinPair,
     gen_odd_sequence,
-    knot_value,
     l_to_k,
     odd_index,
 )
@@ -63,8 +68,8 @@ class FamilySpec:
     """Everything one invariant family carries.
 
     skein_form holds (c_plus, c_minus, c_zero) of the defining relationship;
-    skein and knot_step are derived from it.  closed_form, when present, maps
-    m to the T(2m+1,2) value.  hopf, when present, is the n=2 torus-link
+    skein and knot_step are derived from it; closed_form maps m to the
+    T(2m+1,2) value and reads neither.  hopf, when present, is the n=2 link
     value consistent with the knot values (the generalized family has none:
     l1 * base2 = l1^2 + l2 - l2^2 has no Laurent-polynomial solution there).
     """
@@ -74,21 +79,16 @@ class FamilySpec:
     skein_form: tuple[LaurentPoly, LaurentPoly, LaurentPoly]
     skein: SkeinPair
     knot_step: KnotStepPair
-    closed_form: Optional[Callable[[int], LaurentPoly]] = None
+    closed_form: Callable[[int], LaurentPoly]
     hopf: Optional[LaurentPoly] = None
 
     def value(self, n: int) -> LaurentPoly:
-        """The T(n,2) value for odd n: the closed form where the family has
-        one, otherwise the knot-step recurrence, holding two entries at a time."""
-        if self.closed_form is None:
-            return knot_value(self.knot_step, n)
+        """The T(n,2) value for odd n, from the closed form."""
         return self.closed_form(odd_index(n))
 
     def sequence(self, n_max: int) -> dict[int, LaurentPoly]:
-        """Values for every odd n <= n_max, keyed by n, chosen as value() chooses."""
-        if self.closed_form is None:
-            return gen_odd_sequence(self.knot_step, n_max)
-        return {2 * m + 1: self.closed_form(m) for m in range(odd_index(n_max) + 1)}
+        """Values for every odd n <= n_max, keyed by n, from the knot-step recurrence."""
+        return gen_odd_sequence(self.knot_step, n_max)
 
 
 def _invert_monomial(m: Monomial) -> Monomial:
@@ -103,7 +103,7 @@ def _build_family(
     c_plus: str,
     c_minus: str,
     c_zero: str,
-    closed_form: Optional[Callable[[int], LaurentPoly]] = None,
+    closed_form: Callable[[int], LaurentPoly],
     hopf: Optional[str] = None,
 ) -> FamilySpec:
     plus = parse(c_plus, context)
@@ -143,6 +143,13 @@ def _jones_closed(m: int) -> LaurentPoly:
     return jones_number(m + 1) - _T4 * jones_number(m)
 
 
+def _homfly_closed(m: int) -> LaurentPoly:
+    # a^(2m) [m+1]_w and -a^(2m+2) [m]_w: disjoint keys, nonzero coefficients.
+    terms = {(8 * m, 8 * j): comb(m + 1 + j, 2 * j + 1) for j in range(m + 1)}
+    terms.update({(8 * m + 8, 8 * j): -comb(m + j, 2 * j + 1) for j in range(m)})
+    return LaurentPoly._make(AZ_CTX, terms)
+
+
 ALEXANDER = _build_family(
     "alexander",
     T_CTX,
@@ -179,7 +186,7 @@ HOMFLY = _build_family(
     c_plus="a^(-1)",
     c_minus="-a",
     c_zero="z",
-    closed_form=None,
+    closed_form=_homfly_closed,
     hopf="a*z + a*z^(-1) - a^3*z^(-1)",
 )
 
@@ -204,7 +211,7 @@ def jones_torus(n: int) -> LaurentPoly:
 
 
 def homfly_torus(n: int) -> LaurentPoly:
-    """Homfly value of T(n,2), odd n, generated by the knot-only recurrence."""
+    """Homfly value of T(n,2), odd n: a^(2m) ([m+1]_w - a^2 [m]_w), w = z^2 + 2."""
     return HOMFLY.value(n)
 
 

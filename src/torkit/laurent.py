@@ -708,8 +708,9 @@ def exact_sqrt(f: LaurentPoly) -> LaurentPoly:
     lex order than the one before, so the candidates are distinct points of
     that finite box: a candidate outside it, or an inexact division, proves
     that f is not a perfect square, and otherwise the remainder empties.
-    So the step count is bounded by the points of the half box, not by the
-    number of terms: a sparse non-square can take one step per exponent.
+    A second bound caps the root: on the unit torus Parseval and Cauchy-Schwarz
+    give sum g_i^2 <= ||f||_2, so each step spends its coefficient's square
+    from isqrt(sum c^2), and the step count is the smaller of the two bounds.
     """
     if f.is_zero():
         return f
@@ -727,6 +728,7 @@ def exact_sqrt(f: LaurentPoly) -> LaurentPoly:
     g_lead = tuple(q // 2 for q in lead)
     g_terms = {g_lead: root}
     twice = 2 * root
+    budget = isqrt(sum(c * c for c in terms.values())) - lc
 
     # Every key below lies in f's box, so the remainder is kept on int keys,
     # which add and compare several times faster than tuples: x0*w + x1, with
@@ -754,6 +756,9 @@ def exact_sqrt(f: LaurentPoly) -> LaurentPoly:
         if rc % twice:
             raise NotAPerfectSquare("remainder coefficient not divisible by twice the leading root")
         t_coeff = rc // twice
+        budget -= t_coeff * t_coeff
+        if budget < 0:
+            raise NotAPerfectSquare("root coefficients would pass the norm bound isqrt(sum c^2)")
         t_key = rk - half
         # remainder -= 2 * g * t + t^2, with g not yet containing t
         step = 2 * t_coeff

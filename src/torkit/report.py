@@ -34,8 +34,7 @@ class CheckReport:
         f = self.failures[0]
         if not f.lhs and not f.rhs:
             return f"FAIL {self.name}: {f.note}"
-        detail = f" [{f.note}]" if f.note else ""
-        return f"FAIL {self.name}: first counterexample at n={f.n}: {f.lhs} != {f.rhs}{detail}"
+        return f"FAIL {self.name}: first counterexample at n={f.n}: {f.lhs} != {f.rhs}"
 
 
 def compare(name: str, cases: Iterable[tuple[int, object, object]]) -> CheckReport:

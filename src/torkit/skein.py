@@ -21,7 +21,6 @@ verifies against every entry it is given.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator, Mapping
 
 from .laurent import (
@@ -158,14 +157,6 @@ def gen_odd_sequence(pair: KnotStepPair, n_max: int) -> dict[int, LaurentPoly]:
     odd_index(n_max)
     steps = _steps(pair.k1, pair.k2, LaurentPoly.one(pair.context), pair.k1 + pair.k2)
     return dict(zip(range(1, n_max + 1, 2), steps))
-
-
-def knot_value(pair: KnotStepPair, n: int) -> LaurentPoly:
-    """The odd-n entry of gen_odd_sequence(pair, n), computed while holding
-    two entries at a time rather than all (n+1)/2."""
-    m = odd_index(n)
-    steps = _steps(pair.k1, pair.k2, LaurentPoly.one(pair.context), pair.k1 + pair.k2)
-    return next(islice(steps, m, None))
 
 
 def gen_full_sequence(

@@ -32,7 +32,6 @@ from torkit import (
     to_alexander,
     to_jones,
 )
-from torkit.skein import knot_value
 
 FROZEN = {
     "alexander": {
@@ -78,17 +77,17 @@ class TestFrozenValues:
 
 
 class TestClosedFormAgreesWithRecurrence:
-    @pytest.mark.parametrize("family", ["alexander", "generalized-alexander", "jones"])
+    @pytest.mark.parametrize("family", sorted(COMPUTE))
     def test_match_through_n_21(self, family):
         spec = FAMILIES[family]
         seq = gen_odd_sequence(spec.knot_step, 21)
         fn, _ = COMPUTE[family]
         for n in range(1, 22, 2):
-            assert fn(n) == knot_value(spec.knot_step, n) == seq[n]
+            assert fn(n) == spec.value(n) == seq[n]
 
-    def test_homfly_uses_recurrence_directly(self):
-        # value(n) runs the knot step on its own, holding two entries; the
-        # sequence path is the oracle.
+    def test_homfly_closed_form_matches_recurrence_n_le_13_201_401(self):
+        # value(n) is the Chebyshev-U closed form; the knot-step recurrence
+        # is the oracle.
         seq = gen_odd_sequence(HOMFLY.knot_step, 401)
         for n in (*range(1, 14, 2), 201, 401):
             assert homfly_torus(n) == HOMFLY.value(n) == seq[n]
@@ -100,8 +99,8 @@ class TestClosedFormAgreesWithRecurrence:
         assert HOMFLY.value(n) == gen_odd_sequence(HOMFLY.knot_step, n)[n]
 
     def test_homfly_value_does_not_hold_the_sequence(self):
-        # The whole sequence to n = 401 peaks at about 7.5 MiB, the two live
-        # entries at about 0.3 MiB.
+        # The whole sequence to n = 401 peaks at about 7.5 MiB, the closed
+        # form's one value at about 0.1 MiB.
         tracemalloc.start()
         try:
             homfly_torus(401)
@@ -160,7 +159,6 @@ class TestValuePath:
 
     def test_jones_value_is_the_closed_form(self):
         # jones_torus and the CLI take one path: the closed form, not the recurrence
-        assert JONES.closed_form is not None
         assert jones_torus(21) == JONES.closed_form(10)
 
 

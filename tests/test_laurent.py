@@ -404,6 +404,14 @@ class TestExactSqrt:
         with pytest.raises(NotAPerfectSquare, match="outside half the exponent box"):
             exact_sqrt(P("1 + 4*t^(-1)", CTX_T))
 
+    @pytest.mark.parametrize("e", [200, 4000])
+    def test_formal_root_stopped_by_the_norm_bound(self, e):
+        # The half box [-e/2, 0] admits about e/2 root terms, but the root of
+        # a square has sum g_i^2 <= isqrt(1 + 16 + 1) = 4, so the second
+        # root term, 2*t^(-1), already spends more than that with the first.
+        with pytest.raises(NotAPerfectSquare, match="norm bound"):
+            exact_sqrt(P(f"1 + 4*t^(-1) + t^(-{e})", CTX_T))
+
     def test_nonsquare_coefficient_past_the_int_str_digit_limit(self):
         # CPython >= 3.11 refuses str() on ints past 4300 digits by default;
         # the error must still be NotAPerfectSquare, naming the coefficient.

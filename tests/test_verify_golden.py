@@ -15,6 +15,7 @@ VERIFY_N_MAX_5 = """\
 PASS closed-form-vs-recurrence[alexander] (3 cases)
 PASS closed-form-vs-recurrence[generalized-alexander] (3 cases)
 PASS closed-form-vs-recurrence[jones] (3 cases)
+PASS closed-form-vs-recurrence[homfly] (3 cases)
 PASS substitute[generalized-alexander->alexander] (3 cases)
 PASS substitute[generalized-alexander->jones] (3 cases)
 PASS substitute[homfly->generalized-alexander] (3 cases)
@@ -35,7 +36,7 @@ PASS skein-form[alexander] (3 cases)
 PASS skein-form[generalized-alexander] (3 cases)
 PASS skein-form[jones] (3 cases)
 PASS skein-form[homfly] (3 cases)
-23/23 checks passed
+24/24 checks passed
 """
 
 CORRUPTED = {
@@ -45,28 +46,28 @@ CORRUPTED = {
         "FAIL ansatz[alexander]: NotTwoParameterForm: the term product 1 does not equal -k2 = -1",
         "FAIL interleave[alexander]: first counterexample at n=3: "
         "t - 1 + t^(-1) != t + 1 + t^(-1)",
-        "20/23 checks passed",
+        "21/24 checks passed",
     ],
     "generalized-alexander": [
         "FAIL closed-form-vs-recurrence[generalized-alexander]: first counterexample at n=3: "
         "q*p + q + p != -q*p + q + p",
         "FAIL ansatz[generalized-alexander]: NotTwoParameterForm: the term product q*p "
         "does not equal -k2 = -q*p",
-        "21/23 checks passed",
+        "22/24 checks passed",
     ],
     "jones": [
         "FAIL closed-form-vs-recurrence[jones]: first counterexample at n=3: "
         "t^4 + t^3 + t != -t^4 + t^3 + t",
         "FAIL ansatz[jones]: NotTwoParameterForm: the term product t^4 does not equal -k2 = -t^4",
         "FAIL interleave[jones]: first counterexample at n=3: -t^4 + t^3 + t != t^4 + t^3 + t",
-        "20/23 checks passed",
+        "21/24 checks passed",
     ],
     "homfly": [
-        "FAIL substitute[homfly->generalized-alexander]: first counterexample at n=3: "
-        "q*p + q + p != -q*p + q + p",
+        "FAIL closed-form-vs-recurrence[homfly]: first counterexample at n=3: "
+        "a^4 + a^2*z^2 + 2*a^2 != -a^4 + a^2*z^2 + 2*a^2",
         "FAIL interleave[homfly]: first counterexample at n=3: "
         "-a^4 + a^2*z^2 + 2*a^2 != a^4 + a^2*z^2 + 2*a^2",
-        "21/23 checks passed",
+        "22/24 checks passed",
     ],
 }
 
@@ -82,5 +83,5 @@ def test_corrupted_family_fail_lines_are_pinned(capsys, family):
     rc = main(["verify", "--n-max", "5", "--corrupt-family", family])
     lines = capsys.readouterr().out.splitlines()
     assert rc == 1
-    assert len(lines) == 24
+    assert len(lines) == 25
     assert [line for line in lines if not line.startswith("PASS ")] == CORRUPTED[family]
