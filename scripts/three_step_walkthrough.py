@@ -19,7 +19,6 @@ import sys
 from torkit import (
     FAMILIES,
     InvalidTorusIndex,
-    LaurentPoly,
     NotTwoParameterForm,
     fit_ansatz,
     gen_odd_sequence,
@@ -56,9 +55,8 @@ def main() -> int:
         return 2
     spec = FAMILIES[args.family]
     pair = spec.knot_step
-    ctx = spec.context
 
-    print(f"family: {spec.name}  (variables {', '.join(ctx.names)})")
+    print(f"family: {spec.name}  (variables {', '.join(spec.context.names)})")
     print()
     print("step 1: knot-step recurrence  P(n+2) = k1 P(n) + k2 P(n-2)")
     print(f"  k1 = {pair.k1}")
@@ -76,10 +74,8 @@ def main() -> int:
         print(f"  not available for this family: {exc}")
         print("  (the closed form below needs the two-parameter split; stopping)")
         return 0
-    pu = LaurentPoly.from_monomial(ctx, u)
-    pv = LaurentPoly.from_monomial(ctx, v)
-    print(f"  u = {pu}")
-    print(f"  v = {pv}")
+    print(f"  u = {u}")
+    print(f"  v = {v}")
     print()
 
     print(f"step 3: fit P(2m+1) = a1*[m+1] - a2*[m] against indices 1..{args.n_max}")
@@ -93,7 +89,7 @@ def main() -> int:
     long_seq = gen_odd_sequence(pair, args.check_to)
     for n in range(1, args.check_to + 1, 2):
         m = (n - 1) // 2
-        closed = coeffs.a1 * uv_number(m + 1, u, v, ctx) - coeffs.a2 * uv_number(m, u, v, ctx)
+        closed = coeffs.a1 * uv_number(m + 1, u, v) - coeffs.a2 * uv_number(m, u, v)
         status = "ok" if closed == long_seq[n] else "MISMATCH"
         print(f"  n = {n:>2}: {status}  {long_seq[n]}")
         if status != "ok":

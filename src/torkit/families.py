@@ -40,16 +40,9 @@ q^(1/4) p^(-1/4) - q^(-1/4) p^(1/4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
-from .laurent import (
-    LaurentPoly,
-    Monomial,
-    Substitution,
-    VarContext,
-    parse,
-)
+from .laurent import LaurentPoly, Substitution, VarContext, parse
 from .qnumbers import QP_CTX, T_CTX, jones_number, q_number, qp_number
 from .skein import EvenIndexUnsupported  # noqa: F401  (re-exported)
 from .skein import (
@@ -91,12 +84,6 @@ class FamilySpec:
         return gen_odd_sequence(self.knot_step, n_max)
 
 
-def _invert_monomial(m: Monomial) -> Monomial:
-    if m.coeff not in (1, -1):
-        raise ValueError("only +/-1 monomials invert exactly")
-    return Monomial(tuple(-q for q in m.quarters), m.coeff)
-
-
 def _build_family(
     name: str,
     context: VarContext,
@@ -111,10 +98,13 @@ def _build_family(
     zero = parse(c_zero, context)
     # Rearrange c_plus*P(+) + c_minus*P(-) = c_zero*P(0) into
     # P(+) = l1*P(0) + l2*P(-):  l1 = c_zero/c_plus, l2 = -c_minus/c_plus.
-    # c_plus is a single +/-1 monomial in every family, so the division is
-    # an exact monomial inverse (for jones, c_plus = t^(-1), this is the
+    # c_plus is a single +/-1 term in every family, so the division is an
+    # exact term inverse (for jones, c_plus = t^(-1), this is the
     # multiply-through-by-t step).
-    inv = LaurentPoly.from_monomial(context, _invert_monomial(plus.leading_monomial()))
+    ((key, sign),) = plus.terms.items()
+    if sign not in (1, -1):
+        raise ValueError("only +/-1 terms invert exactly")
+    inv = LaurentPoly(context, {tuple(-q for q in key): sign})
     pair = SkeinPair(zero * inv, -(minus * inv))
     return FamilySpec(
         name=name,
@@ -143,10 +133,19 @@ def _jones_closed(m: int) -> LaurentPoly:
     return jones_number(m + 1) - _T4 * jones_number(m)
 
 
+def _w_coefficients(k: int) -> Iterator[int]:
+    """C(k+j, 2j+1) for j = 0..k-1, the coefficients of z^(2j) in [k]_w, each
+    from the one before: C(k+j+1, 2j+3) = C(k+j, 2j+1) (k+j+1)(k-j-1) / ((2j+2)(2j+3))."""
+    c = k
+    for j in range(k):
+        yield c
+        c = c * (k + j + 1) * (k - j - 1) // ((2 * j + 2) * (2 * j + 3))
+
+
 def _homfly_closed(m: int) -> LaurentPoly:
     # a^(2m) [m+1]_w and -a^(2m+2) [m]_w: disjoint keys, nonzero coefficients.
-    terms = {(8 * m, 8 * j): comb(m + 1 + j, 2 * j + 1) for j in range(m + 1)}
-    terms.update({(8 * m + 8, 8 * j): -comb(m + j, 2 * j + 1) for j in range(m)})
+    terms = {(8 * m, 8 * j): c for j, c in enumerate(_w_coefficients(m + 1))}
+    terms.update({(8 * m + 8, 8 * j): -c for j, c in enumerate(_w_coefficients(m))})
     return LaurentPoly._make(AZ_CTX, terms)
 
 

@@ -75,6 +75,10 @@ class VarContext:
     names: tuple[str, ...]
 
     def __post_init__(self):
+        # A str or list would pass the checks below but compare and hash
+        # unlike the tuple of the same names.
+        if not isinstance(self.names, tuple) or not all(isinstance(name, str) for name in self.names):
+            raise TypeError(f"variable names must be a tuple of str, got {self.names!r}")
         if not 1 <= len(self.names) <= 2:
             raise ValueError("a context holds one or two variables")
         if len(set(self.names)) != len(self.names):
@@ -91,26 +95,6 @@ class VarContext:
 
     def __contains__(self, name: str) -> bool:
         return name in self.names
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """A single term: one exponent per context variable, counted in quarter
-    units (2 means the power 1/2), and a nonzero integer coefficient."""
-
-    quarters: tuple[int, ...]
-    coeff: int
-
-    def __post_init__(self):
-        if self.coeff == 0:
-            raise ValueError("monomial coefficient must be nonzero")
-
-    @classmethod
-    def from_quarters(cls, quarters: Iterable[int], coeff: int = 1) -> Monomial:
-        return cls(tuple(quarters), coeff)
-
-    def total_degree(self) -> Fraction:
-        return Fraction(sum(self.quarters), 4)
 
 
 PolyLike = Union["LaurentPoly", int]
@@ -178,14 +162,6 @@ class LaurentPoly:
     def constant(cls, context: VarContext, value: int) -> LaurentPoly:
         return cls(context, {(0,) * len(context): value})
 
-    @classmethod
-    def from_monomial(cls, context: VarContext, mono: Monomial) -> LaurentPoly:
-        if len(mono.quarters) != len(context):
-            raise ContextMismatch(
-                f"monomial arity {len(mono.quarters)} does not match context {context.names}"
-            )
-        return cls(context, {mono.quarters: mono.coeff})
-
     # -- basic queries --------------------------------------------------------
 
     @property
@@ -206,18 +182,6 @@ class LaurentPoly:
 
     def coefficient(self, quarters: Iterable[int]) -> int:
         return self._terms.get(tuple(quarters), 0)
-
-    def leading_monomial(self) -> Monomial:
-        """The term that is greatest in the canonical (descending lex) order."""
-        if not self._terms:
-            raise ValueError("the zero polynomial has no leading term")
-        key = max(self._terms)
-        return Monomial.from_quarters(key, self._terms[key])
-
-    def monomials(self) -> Iterator[Monomial]:
-        """Terms in canonical order (descending lex on exponent tuples)."""
-        for key in sorted(self._terms, reverse=True):
-            yield Monomial.from_quarters(key, self._terms[key])
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -311,8 +275,9 @@ class LaurentPoly:
 
         Exponents combine in quarter units; a result finer than quarters, or a
         -1 sign raised to a fractional power, raises NonIntegralExponent.
-        Values are Monomials, polynomials or text in the target context (or a
-        compiled Substitution of them), each a +/-1 monomial, else ValueError.
+        Values are polynomials or text in the target context (or a compiled
+        Substitution of them), each a single term with coefficient +/-1, else
+        ValueError.
         """
         if not isinstance(assignments, Substitution):
             assignments = Substitution(self._context, target, assignments)
@@ -333,12 +298,19 @@ class LaurentPoly:
     # -- evaluation ------------------------------------------------------------
 
     def eval_rational(self, point: Mapping[str, object]) -> Fraction:
-        """Exact value at a rational point; every exponent must be integral."""
+        """Exact value at a rational point; every exponent must be integral.
+
+        Values are ints or Fractions; a bool or a float raises TypeError.
+        """
         values = []
         for name in self._context:
             if name not in point:
                 raise MissingAssignment(f"no value for variable {name!r}")
-            v = Fraction(point[name])
+            v = point[name]
+            # type(), not isinstance(), for int: bool is an int subclass and is rejected.
+            if type(v) is not int and not isinstance(v, Fraction):
+                raise TypeError(f"value for {name!r} must be an int or a Fraction, got {type(v).__name__}")
+            v = Fraction(v)
             if v == 0:
                 raise ZeroBase(f"variable {name!r} evaluated at zero")
             values.append(v)
@@ -578,7 +550,8 @@ def _render_varpow(name: str, quarters: int) -> str:
 class Substitution:
     """Values in `target` for the variables of `source`, parsed and checked
     once, for substitute_poly or substitute_monomial in place of a mapping.
-    A variable assigned a +/-1 monomial (a "mono" plan) takes any exponent;
+    Each value is a LaurentPoly of `target` or text that parses in it.
+    A variable assigned a single +/-1 term (a "mono" plan) takes any exponent;
     one assigned anything else (a "poly" plan) takes whole exponents >= 0,
     and each power of it is built once and kept, finished, for the object's life.
     substitute_monomial takes mono plans only.  A mapping passed instead is
@@ -597,8 +570,6 @@ class Substitution:
             value = assignments[name]
             if isinstance(value, str):
                 value = parse(value, target)
-            if isinstance(value, Monomial):
-                value = LaurentPoly.from_monomial(target, value)
             if not isinstance(value, LaurentPoly):
                 raise TypeError(f"assignment for {name!r} must be a polynomial")
             if value.context != target:

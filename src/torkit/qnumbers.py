@@ -1,11 +1,12 @@
 """The paper's deformed integers [n]_{u,v} and their three named cases.
 
-For +/-1 monomials u and v, [n]_{u,v} = (u^n - v^n) / (u - v) is built
-directly as the explicit sum u^(n-1) + u^(n-2) v + ... + v^(n-1), never by
-division; uv_number is the one place that builds it.  The named cases are
-the symmetric q-number [n]_q = [n]_{q,q^(-1)} (q_number), its two-parameter
-cousin [n]_{q,p} (qp_number), which recovers [n]_q under p -> q^(-1), and
-the Jones-flavored [n]_{t^3,t} (jones_number).  Every [n]_{u,v} satisfies
+For single-term LaurentPolys u and v of one context, each with coefficient
++/-1, [n]_{u,v} = (u^n - v^n) / (u - v) is built directly as the explicit
+sum u^(n-1) + u^(n-2) v + ... + v^(n-1), never by division; uv_number is
+the one place that builds it.  The named cases are the symmetric q-number
+[n]_q = [n]_{q,q^(-1)} (q_number), its two-parameter cousin [n]_{q,p}
+(qp_number), which recovers [n]_q under p -> q^(-1), and the Jones-flavored
+[n]_{t^3,t} (jones_number).  Every [n]_{u,v} satisfies
 
     [n+1]_{u,v} = (u + v) [n]_{u,v} - u v [n-1]_{u,v}
 
@@ -17,39 +18,43 @@ from __future__ import annotations
 
 from itertools import islice, repeat
 
-from .laurent import ContextMismatch, LaurentPoly, Monomial, VarContext
+from .laurent import ContextMismatch, LaurentPoly, VarContext, parse
 from .report import CheckReport, compare
 
 
-def uv_number(n: int, u: Monomial, v: Monomial, context: VarContext) -> LaurentPoly:
+def uv_number(n: int, u: LaurentPoly, v: LaurentPoly) -> LaurentPoly:
     """[n]_{u,v} as the explicit sum of n terms u^(n-1-j) v^j, j = 0..n-1.
 
     Term j sits at (n-1) u + j (v - u) in exponents and carries the sign
     s1 * s2^j, with s1 the sign of u^(n-1) and s2 = sign(u) sign(v).  When u
     and v share exponents all n terms meet in one key, where they sum (or
     cancel, when the signs differ).  n must be an int >= 0 (bool is
-    rejected), u and v must have coefficient +/-1 (ValueError otherwise) and
-    the context's arity (ContextMismatch otherwise).
+    rejected).  The result lives in u's context; v must live there too
+    (ContextMismatch otherwise), and each of u and v must be a single term
+    with coefficient +/-1 (ValueError otherwise).
     """
     if type(n) is not int or n < 0:
         raise ValueError(f"[n]_{{u,v}} is defined for integers n >= 0, got {n!r}")
-    for w in (u, v):
-        if w.coeff not in (1, -1):
-            raise ValueError(f"[n]_{{u,v}} needs +/-1 monomials, got coefficient {w.coeff}")
-        if len(w.quarters) != len(context.names):
-            raise ContextMismatch(f"monomial exponents {w.quarters} do not fit context {context.names}")
-    s1 = u.coeff if n % 2 == 0 else 1
-    if u.quarters == v.quarters:
-        total = n * s1 if u.coeff == v.coeff else s1 * (n % 2)
-        top = tuple((n - 1) * e for e in u.quarters)  # where all n terms meet
+    context = u.context
+    if v.context != context:
+        raise ContextMismatch(f"u and v must share one context, got {context.names} and {v.context.names}")
+    if u.num_terms != 1 or v.num_terms != 1:
+        raise ValueError("[n]_{u,v} needs u and v to be single terms")
+    ((ux, us),), ((vx, vs),) = u.terms.items(), v.terms.items()
+    if us not in (1, -1) or vs not in (1, -1):
+        raise ValueError("[n]_{u,v} needs u and v to have coefficient +1 or -1")
+    s1 = us if n % 2 == 0 else 1
+    if ux == vx:
+        total = n * s1 if us == vs else s1 * (n % 2)
+        top = tuple((n - 1) * e for e in ux)  # where all n terms meet
         return LaurentPoly._make(context, {top: total} if total else {})
     # Each variable's exponents across the terms: (n-1) x + j (y - x), j = 0..n-1.
     axes = [
         range((n - 1) * x, n * y - x, y - x) if x != y else repeat((n - 1) * x, n)
-        for x, y in zip(u.quarters, v.quarters)
+        for x, y in zip(ux, vx)
     ]
     terms = dict.fromkeys(zip(*axes), s1)
-    if u.coeff != v.coeff:  # s2 = -1: the odd-numbered terms flip sign
+    if us != vs:  # s2 = -1: the odd-numbered terms flip sign
         for key in islice(terms, 1, None, 2):
             terms[key] = -s1
     return LaurentPoly._make(context, terms)
@@ -59,24 +64,31 @@ def uv_number(n: int, u: Monomial, v: Monomial, context: VarContext) -> LaurentP
 _Q_CTX = VarContext(("q",))
 T_CTX = VarContext(("t",))
 QP_CTX = VarContext(("q", "p"))
-_Q_PAIR = (Monomial((4,), 1), Monomial((-4,), 1))
-_QP_PAIR = (Monomial((4, 0), 1), Monomial((0, 4), 1))
-_JONES_PAIR = (Monomial((12,), 1), Monomial((4,), 1))
+_QP_PAIR = (parse("q", QP_CTX), parse("p", QP_CTX))
+_JONES_PAIR = (parse("t^3", T_CTX), parse("t", T_CTX))
+
+
+def _q_pair(context: VarContext) -> tuple[LaurentPoly, LaurentPoly]:
+    """(x, x^(-1)) for the one variable x of context."""
+    return LaurentPoly._make(context, {(4,): 1}), LaurentPoly._make(context, {(-4,): 1})
+
+
+_Q_PAIRS = {"q": _q_pair(_Q_CTX), "t": _q_pair(T_CTX)}
 
 
 def q_number(n: int, var: str = "q") -> LaurentPoly:
     """[n]_q = [n]_{q,q^(-1)}, the sum of the n monomials q^(n-1-2j)."""
-    return uv_number(n, *_Q_PAIR, _Q_CTX if var == "q" else T_CTX if var == "t" else VarContext((var,)))
+    return uv_number(n, *(_Q_PAIRS.get(var) or _q_pair(VarContext((var,)))))
 
 
 def qp_number(n: int) -> LaurentPoly:
     """[n]_{q,p}, the sum of the n monomials q^(n-1-j) p^j."""
-    return uv_number(n, *_QP_PAIR, QP_CTX)
+    return uv_number(n, *_QP_PAIR)
 
 
 def jones_number(n: int) -> LaurentPoly:
     """[n]_{t^3,t}, the sum of the n monomials t^(3(n-1-j)+j)."""
-    return uv_number(n, *_JONES_PAIR, T_CTX)
+    return uv_number(n, *_JONES_PAIR)
 
 
 def _neighbours(build, n_max: int):
@@ -88,10 +100,10 @@ def _neighbours(build, n_max: int):
         below, here = here, above
 
 
-def _verify_recurrence(name: str, build, pair, context: VarContext, n_max: int) -> CheckReport:
+def _verify_recurrence(name: str, build, pair, n_max: int) -> CheckReport:
     """Check [n+1] = (u + v)[n] - uv [n-1] exactly for 1 <= n <= n_max, where
-    build(n) is [n]_{u,v} for the pair (u, v) of +/-1 monomials."""
-    u, v = (LaurentPoly.from_monomial(context, w) for w in pair)
+    build(n) is [n]_{u,v} for the pair (u, v) of single +/-1 terms."""
+    u, v = pair
     step, product = u + v, u * v
     cases = ((n, above, step * here - product * below) for n, below, here, above in _neighbours(build, n_max))
     return compare(name, cases)
@@ -99,9 +111,9 @@ def _verify_recurrence(name: str, build, pair, context: VarContext, n_max: int) 
 
 def verify_q_recurrence(n_max: int) -> CheckReport:
     """Check [n+1] = (q + q^(-1))[n] - [n-1] exactly for 1 <= n <= n_max."""
-    return _verify_recurrence("q-number-recurrence", q_number, _Q_PAIR, _Q_CTX, n_max)
+    return _verify_recurrence("q-number-recurrence", q_number, _Q_PAIRS["q"], n_max)
 
 
 def verify_qp_recurrence(n_max: int) -> CheckReport:
     """Check [n+1] = (q + p)[n] - qp [n-1] exactly for 1 <= n <= n_max."""
-    return _verify_recurrence("qp-number-recurrence", qp_number, _QP_PAIR, QP_CTX, n_max)
+    return _verify_recurrence("qp-number-recurrence", qp_number, _QP_PAIR, n_max)

@@ -26,7 +26,6 @@ from typing import Iterator, Mapping
 from .laurent import (
     ContextMismatch,
     LaurentPoly,
-    Monomial,
     NotAPerfectSquare,
     TorkitError,
     VarContext,
@@ -176,29 +175,27 @@ def gen_full_sequence(
     return dict(zip(range(1, n_max + 1), _steps(pair.l1, pair.l2, base1, base2)))
 
 
-def solve_parameters(pair: KnotStepPair) -> tuple[Monomial, Monomial]:
-    """Split k1 = u + v into monic monomials with u v = -k2.
+def solve_parameters(pair: KnotStepPair) -> tuple[LaurentPoly, LaurentPoly]:
+    """Split k1 = u + v into monic single terms with u v = -k2.
 
-    Returns (u, v) with u the greater term in the canonical order.  Raises
-    NotTwoParameterForm when k1 is not two monic terms or the product test
-    fails.
+    Returns (u, v) as single-term polynomials in the pair's context, u the
+    greater term in the canonical order.  Raises NotTwoParameterForm when k1
+    is not two monic terms or the product test fails.
     """
-    monos = list(pair.k1.monomials())
-    if len(monos) != 2 or any(m.coeff != 1 for m in monos):
+    terms = pair.k1.terms
+    if len(terms) != 2 or any(c != 1 for c in terms.values()):
         raise NotTwoParameterForm(
             f"k1 = {pair.k1} is not a sum of two monic monomials"
         )
-    u, v = monos  # canonical order is descending, so u > v already
-    context = pair.context
-    product = LaurentPoly.from_monomial(context, u) * LaurentPoly.from_monomial(context, v)
-    if product != -pair.k2:
+    u, v = (LaurentPoly._make(pair.context, {key: 1}) for key in sorted(terms, reverse=True))
+    if u * v != -pair.k2:
         raise NotTwoParameterForm(
-            f"the term product {product} does not equal -k2 = {-pair.k2}"
+            f"the term product {u * v} does not equal -k2 = {-pair.k2}"
         )
     return u, v
 
 
-def fit_ansatz(seq: Mapping[int, LaurentPoly], qhat: Monomial, phat: Monomial) -> AnsatzCoefficients:
+def fit_ansatz(seq: Mapping[int, LaurentPoly], qhat: LaurentPoly, phat: LaurentPoly) -> AnsatzCoefficients:
     """Fit P(2m+1) = a1 [m+1]_{qhat,phat} - a2 [m]_{qhat,phat} to a sequence
     keyed by odd n.
 
@@ -206,19 +203,19 @@ def fit_ansatz(seq: Mapping[int, LaurentPoly], qhat: Monomial, phat: Monomial) -
     the first two knots, after which every entry of seq is checked against
     the ansatz and any deviation raises AnsatzMismatch.  Every key passes
     odd_index first, so a key that is no knot index raises InvalidTorusIndex.
-    qhat and phat must be +/-1 monomials (ValueError otherwise).
+    qhat and phat must be single terms with coefficient +/-1 (ValueError
+    otherwise) in the sequence's context (ContextMismatch otherwise).
     """
     indices = sorted((odd_index(n), n) for n in seq)
     for needed in (1, 3):
         if needed not in seq:
             raise ValueError(f"sequence must contain entries 1 and 3, missing {needed}")
     a1 = seq[1]
-    context = a1.context
-    a2 = a1 * uv_number(2, qhat, phat, context) - seq[3]  # [2] = qhat + phat
+    a2 = a1 * uv_number(2, qhat, phat) - seq[3]  # [2] = qhat + phat
     last, high = None, None  # the previous entry's m and its [m+1]
     for m, n in indices:
-        low = high if last == m - 1 else uv_number(m, qhat, phat, context)
-        high = uv_number(m + 1, qhat, phat, context)
+        low = high if last == m - 1 else uv_number(m, qhat, phat)
+        high = uv_number(m + 1, qhat, phat)
         last = m
         expected = a1 * high - a2 * low
         if expected != seq[n]:

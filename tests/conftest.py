@@ -37,6 +37,12 @@ def nonzero_polys(context: VarContext = CTX_QP, **kw):
     return polys(context, **kw).filter(lambda f: not f.is_zero())
 
 
+def leading_coefficient(f: LaurentPoly) -> int:
+    """The coefficient of f's greatest term in the canonical (descending lex) order."""
+    terms = f.terms
+    return terms[max(terms)]
+
+
 def rationals():
     """Nonzero rationals with small numerators and denominators."""
     return st.fractions(

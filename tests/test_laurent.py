@@ -12,12 +12,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CTX_AZ, CTX_Q, CTX_QP, CTX_T
+from conftest import CTX_AZ, CTX_Q, CTX_QP, CTX_T, leading_coefficient
 from torkit import (
     ContextMismatch,
     LaurentPoly,
     MissingAssignment,
-    Monomial,
     NegativePowerOfPolynomial,
     NonIntegralExponent,
     NotAPerfectSquare,
@@ -74,6 +73,19 @@ class TestVarContext:
         with pytest.raises(ValueError):
             VarContext(("q\u0663",))
         assert VarContext(("_q2",)).names == ("_q2",)
+
+    def test_str_names_rejected(self):
+        # "tq" would pass every other check as the two names "t" and "q".
+        with pytest.raises(TypeError):
+            VarContext("tq")
+
+    def test_list_names_rejected(self):
+        # A list would make a context that is unequal to, and cannot hash
+        # like, the tuple of the same names.
+        for names in (["t"], ["q", "p"], ("t", 4)):
+            with pytest.raises(TypeError):
+                VarContext(names)
+        assert hash(VarContext(("t",))) == hash(CTX_T)
 
 
 class TestArithmetic:
@@ -163,14 +175,12 @@ class TestConstructor:
 class TestLeadingAndOrder:
     def test_leading_is_lex_greatest(self):
         f = P("q + p - q*p")
-        lead = f.leading_monomial()
-        assert lead.quarters == (4, 4)
-        assert lead.coeff == -1
+        assert to_json_obj(f)["terms"][0] == {"exp": [4, 4], "coeff": "-1"}
 
     def test_monomials_come_out_descending(self):
         f = P("p^2 + q^2 + q*p")
-        keys = [m.quarters for m in f.monomials()]
-        assert keys == [(8, 0), (4, 4), (0, 8)]
+        keys = [term["exp"] for term in to_json_obj(f)["terms"]]
+        assert keys == [[8, 0], [4, 4], [0, 8]]
 
 
 class TestSubstituteMonomial:
@@ -232,8 +242,8 @@ class TestSubstituteMonomial:
 
     def test_monomial_object_assignment(self):
         f = P("q + p")
-        qhat = Monomial.from_quarters((12,), 1)  # t^3
-        phat = Monomial.from_quarters((4,), 1)  # t
+        qhat = LaurentPoly(CTX_T, {(12,): 1})  # t^3
+        phat = LaurentPoly(CTX_T, {(4,): 1})  # t
         assert f.substitute_monomial(CTX_T, {"q": qhat, "p": phat}) == P(
             "t^3 + t", CTX_T
         )
@@ -267,8 +277,8 @@ class TestSubstituteMonomial:
     def test_monomial_of_another_arity_rejected(self):
         assert_raises_in_both_forms(
             ContextMismatch,
-            "monomial arity 2 does not match context ('t',)",
-            P("q", CTX_Q), "substitute_monomial", CTX_T, {"q": Monomial.from_quarters((4, 0))},
+            "assignment for 'q' lives in ('a', 'z'), not ('t',)",
+            P("q", CTX_Q), "substitute_monomial", CTX_T, {"q": LaurentPoly(CTX_AZ, {(4, 0): 1})},
         )
 
 
@@ -372,7 +382,7 @@ class TestExactSqrt:
         g = P("p^(1/2) - q^(1/2)")  # leading coefficient -1
         root = exact_sqrt(g * g)
         assert root == -g
-        assert root.leading_monomial().coeff > 0
+        assert leading_coefficient(root) > 0
 
     def test_zero_convention(self):
         assert exact_sqrt(LaurentPoly.zero(CTX_QP)).is_zero()
@@ -450,6 +460,12 @@ class TestEvalRational:
     def test_extra_value_rejected(self):
         with pytest.raises(UnknownVariable):
             P("q", CTX_Q).eval_rational({"q": 1, "t": 2})
+
+    @pytest.mark.parametrize("value", [True, 0.1, 2.0, "2"])
+    def test_bool_or_inexact_value_rejected(self, value):
+        # True is not read as 1, nor 0.1 as the binary fraction nearest it.
+        with pytest.raises(TypeError):
+            P("t", CTX_T).eval_rational({"t": value})
 
 
 class TestCanonicalString:

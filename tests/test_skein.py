@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import CTX_AZ, CTX_QP, CTX_T, polys
+from conftest import CTX_AZ, CTX_QP, CTX_T, leading_coefficient, polys
 from torkit import (
     AnsatzMismatch,
     ContextMismatch,
@@ -19,10 +19,10 @@ from torkit import (
     InvalidTorusIndex,
     KnotStepPair,
     LaurentPoly,
-    Monomial,
     NotInvertible,
     NotTwoParameterForm,
     SkeinPair,
+    VarContext,
     fit_ansatz,
     gen_full_sequence,
     gen_odd_sequence,
@@ -94,8 +94,8 @@ class TestKToL:
     def test_results_are_canonical_positive(self):
         for k, ctx in [(ALEX_K, CTX_T), (GEN_K, CTX_QP), (JONES_K, CTX_T), (HOMFLY_K, CTX_AZ)]:
             s = k_to_l(kp(*k, ctx))
-            assert s.l1.leading_monomial().coeff > 0
-            assert s.l2.leading_monomial().coeff > 0
+            assert leading_coefficient(s.l1) > 0
+            assert leading_coefficient(s.l2) > 0
 
     def test_negated_branch_is_used_when_needed(self):
         # sqrt(-k2) = t, and k1 - 2t = -3t + 2 + t^(-1) is not a square;
@@ -167,16 +167,17 @@ class TestSequences:
 class TestSolveParameters:
     def test_jones(self):
         u, v = solve_parameters(kp(*JONES_K, CTX_T))
-        assert (u.quarters, u.coeff) == ((12,), 1)
-        assert (v.quarters, v.coeff) == ((4,), 1)
+        assert (u.terms, v.terms) == ({(12,): 1}, {(4,): 1})
+        assert u.context == v.context == CTX_T
 
     def test_alexander(self):
         u, v = solve_parameters(kp(*ALEX_K, CTX_T))
-        assert (u.quarters, v.quarters) == ((4,), (-4,))
+        assert (u.terms, v.terms) == ({(4,): 1}, {(-4,): 1})
 
     def test_generalized(self):
         u, v = solve_parameters(kp(*GEN_K))
-        assert (u.quarters, v.quarters) == ((4, 0), (0, 4))
+        assert (u.terms, v.terms) == ({(4, 0): 1}, {(0, 4): 1})
+        assert u.context == v.context == CTX_QP
 
     def test_homfly_is_not_two_parameter(self):
         with pytest.raises(NotTwoParameterForm):
@@ -240,7 +241,15 @@ class TestFitAnsatz:
         pair = kp(*GEN_K)
         u, v = solve_parameters(pair)
         with pytest.raises(ValueError):
-            fit_ansatz(gen_odd_sequence(pair, 9), Monomial(u.quarters, 2), v)
+            fit_ansatz(gen_odd_sequence(pair, 9), 2 * u, v)
+
+    def test_parameters_of_another_context_rejected(self):
+        seq = gen_odd_sequence(kp(*GEN_K), 9)
+        with pytest.raises(ContextMismatch):
+            fit_ansatz(seq, *solve_parameters(kp(*JONES_K, CTX_T)))
+        u, v = solve_parameters(kp(*GEN_K))
+        with pytest.raises(ContextMismatch):
+            fit_ansatz(seq, u, parse("q", VarContext(("q",))))
 
     def test_requires_first_two_knots(self):
         with pytest.raises(ValueError):
@@ -289,46 +298,45 @@ class TestInterleave:
 # -- properties ----------------------------------------------------------------
 
 
-def monomials_qp():
+def monic_terms_qp():
     exps = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
-    return exps.map(lambda e: Monomial.from_quarters(e, 1))
+    return exps.map(lambda e: LaurentPoly(CTX_QP, {e: 1}))
 
 
-@given(monomials_qp(), monomials_qp())
+@given(monic_terms_qp(), monic_terms_qp())
 @settings(max_examples=60)
 def test_two_parameter_ansatz_always_fits(u, v):
     # For k1 = u + v, k2 = -uv the knot values are exactly [m+1] - uv [m]
-    if u.quarters == v.quarters:
+    if u == v:
         return
-    pu = LaurentPoly.from_monomial(CTX_QP, u)
-    pv = LaurentPoly.from_monomial(CTX_QP, v)
-    pair = KnotStepPair(pu + pv, -(pu * pv))
+    pair = KnotStepPair(u + v, -(u * v))
     uu, vv = solve_parameters(pair)
     coeffs = fit_ansatz(gen_odd_sequence(pair, 11), uu, vv)
     assert coeffs.a1 == LaurentPoly.one(CTX_QP)
-    assert coeffs.a2 == pu * pv
+    assert coeffs.a2 == u * v
 
 
 @st.composite
-def unit_monomial_pairs(draw):
-    """(context, u, v): +/-1 monomials over one or two variables, with
-    negative and quarter exponents, and u == v in exponents about a third of
-    the time so that terms merge (or cancel, when the signs differ)."""
+def unit_term_pairs(draw):
+    """(context, u, v): single terms with coefficient +/-1 over one or two
+    variables, with negative and quarter exponents, and u == v in exponents
+    about a third of the time so that terms merge (or cancel, when the signs
+    differ)."""
     context = draw(st.sampled_from([CTX_T, CTX_QP]))
     exps = st.tuples(*[st.integers(-9, 9)] * len(context))
     sign = st.sampled_from([1, -1])
-    u = Monomial(draw(exps), draw(sign))
-    v_exps = u.quarters if draw(st.integers(0, 2)) == 0 else draw(exps)
-    return context, u, Monomial(v_exps, draw(sign))
+    u_exps, u_sign = draw(exps), draw(sign)
+    v_exps = u_exps if draw(st.integers(0, 2)) == 0 else draw(exps)
+    return context, LaurentPoly(context, {u_exps: u_sign}), LaurentPoly(context, {v_exps: draw(sign)})
 
 
-@given(unit_monomial_pairs())
+@given(unit_term_pairs())
 @settings(max_examples=80, deadline=None)
 def test_direct_two_parameter_numbers_match_substitution(case):
     # The oracle: [m]_{q,p} with q -> u, p -> v by substitute_monomial.
     context, u, v = case
     for m in range(41):
-        got = uv_number(m, u, v, context)
+        got = uv_number(m, u, v)
         assert got == qp_number(m).substitute_monomial(context, {"q": u, "p": v}), m
         assert LaurentPoly(context, got.terms) == got and 0 not in got.terms.values()
 
