@@ -12,17 +12,20 @@ l2 P(n-1), and composing it once gives the knot-only pair (k1, k2).
 Family data, with m = (n-1)/2 for odd n:
 
     alexander              t        l1 = t^(1/2) - t^(-1/2)   l2 = 1
-                                    closed form [m+1]_t - [m]_t
+                                    U_m = [m]_t               k2 = -1
     generalized-alexander  q, p     l1 = q^(1/2) - p^(1/2)    l2 = (qp)^(1/2)
-                                    closed form [m+1]_{q,p} - qp [m]_{q,p}
+                                    U_m = [m]_{q,p}           k2 = -qp
     jones                  t        l1 = t^(3/2) - t^(1/2)    l2 = t^2
-                                    closed form [m+1]_{t^3,t} - t^4 [m]_{t^3,t}
+                                    U_m = [m]_{t^3,t}         k2 = -t^4
     homfly                 a, z     l1 = a z                  l2 = a^2
-                                    closed form a^(2m) ([m+1]_w - a^2 [m]_w)
+                                    U_m = a^(2m-2) [m]_w      k2 = -a^4
 
-with w = z^2 + 2 and [k]_w = sum_j C(k+j, 2j+1) z^(2j) (Chebyshev U; cf.
-V. Jones, Ann. of Math. 126, 1987).  value(n) is always the closed form and
-sequence(n_max) the knot-step recurrence: two independent paths.
+U is the family's Lucas sequence, U_0 = 0, U_1 = 1 and U_{m+1} = k1 U_m +
+k2 U_{m-1} (E. Lucas, Amer. J. Math. 1, 1878), and every closed form is
+P(2m+1) = U_{m+1} + k2 U_m.  Here w = z^2 + 2 and [k]_w = sum_j C(k+j, 2j+1)
+z^(2j) (Chebyshev U; cf. V. Jones, Ann. of Math. 126, 1987).  value(n) is
+always the closed form and sequence(n_max) the knot-step recurrence: two
+independent paths.
 
 Note on the alexander step: with l2 = 1 and k1 = t + t^(-1), only
 l1 = +/-(t^(1/2) - t^(-1/2)) satisfies l1^2 + 2 l2 = k1; the superficially
@@ -62,7 +65,8 @@ class FamilySpec:
 
     skein_form holds (c_plus, c_minus, c_zero) of the defining relationship;
     skein and knot_step are derived from it; closed_form maps m to the
-    T(2m+1,2) value and reads neither.  hopf, when present, is the n=2 link
+    T(2m+1,2) value U_{m+1} + k2 U_m with k2 bound when the family is built,
+    so it never reads knot_step.  hopf, when present, is the n=2 link
     value consistent with the knot values (the generalized family has none:
     l1 * base2 = l1^2 + l2 - l2^2 has no Laurent-polynomial solution there).
     """
@@ -90,7 +94,7 @@ def _build_family(
     c_plus: str,
     c_minus: str,
     c_zero: str,
-    closed_form: Callable[[int], LaurentPoly],
+    lucas: Callable[[int], LaurentPoly],
     hopf: Optional[str] = None,
 ) -> FamilySpec:
     plus = parse(c_plus, context)
@@ -106,31 +110,17 @@ def _build_family(
         raise ValueError("only +/-1 terms invert exactly")
     inv = LaurentPoly(context, {tuple(-q for q in key): sign})
     pair = SkeinPair(zero * inv, -(minus * inv))
+    knot_step = l_to_k(pair)
+    k2 = knot_step.k2
     return FamilySpec(
         name=name,
         context=context,
         skein_form=(plus, minus, zero),
         skein=pair,
-        knot_step=l_to_k(pair),
-        closed_form=closed_form,
+        knot_step=knot_step,
+        closed_form=lambda m: lucas(m + 1) + k2 * lucas(m),
         hopf=parse(hopf, context) if hopf else None,
     )
-
-
-_QP = parse("q*p", QP_CTX)
-_T4 = parse("t^4", T_CTX)
-
-
-def _alexander_closed(m: int) -> LaurentPoly:
-    return q_number(m + 1, "t") - q_number(m, "t")
-
-
-def _generalized_closed(m: int) -> LaurentPoly:
-    return qp_number(m + 1) - _QP * qp_number(m)
-
-
-def _jones_closed(m: int) -> LaurentPoly:
-    return jones_number(m + 1) - _T4 * jones_number(m)
 
 
 def _w_coefficients(k: int) -> Iterator[int]:
@@ -142,20 +132,19 @@ def _w_coefficients(k: int) -> Iterator[int]:
         c = c * (k + j + 1) * (k - j - 1) // ((2 * j + 2) * (2 * j + 3))
 
 
-def _homfly_closed(m: int) -> LaurentPoly:
-    # a^(2m) [m+1]_w and -a^(2m+2) [m]_w: disjoint keys, nonzero coefficients.
-    terms = {(8 * m, 8 * j): c for j, c in enumerate(_w_coefficients(m + 1))}
-    terms.update({(8 * m + 8, 8 * j): -c for j, c in enumerate(_w_coefficients(m))})
-    return LaurentPoly._make(AZ_CTX, terms)
+def _homfly_lucas(k: int) -> LaurentPoly:
+    """a^(2k-2) [k]_w, the U_k of homfly's knot step (a^2 w, -a^4)."""
+    return LaurentPoly._make(AZ_CTX, {(8 * k - 8, 8 * j): c for j, c in enumerate(_w_coefficients(k))})
 
 
+# Each U looks its q-number up by name at call time, so a wrapper rebound here (a tracer's) sees every call.
 ALEXANDER = _build_family(
     "alexander",
     T_CTX,
     c_plus="1",
     c_minus="-1",
     c_zero="t^(1/2) - t^(-1/2)",
-    closed_form=_alexander_closed,
+    lucas=lambda k: q_number(k, "t"),
     hopf="t^(1/2) - t^(-1/2)",
 )
 
@@ -165,7 +154,7 @@ GENERALIZED_ALEXANDER = _build_family(
     c_plus="1",
     c_minus="-q^(1/2)*p^(1/2)",
     c_zero="q^(1/2) - p^(1/2)",
-    closed_form=_generalized_closed,
+    lucas=lambda k: qp_number(k),
     hopf=None,
 )
 
@@ -175,7 +164,7 @@ JONES = _build_family(
     c_plus="t^(-1)",
     c_minus="-t",
     c_zero="t^(1/2) - t^(-1/2)",
-    closed_form=_jones_closed,
+    lucas=lambda k: jones_number(k),
     hopf="-t^(1/2) - t^(5/2)",
 )
 
@@ -185,7 +174,7 @@ HOMFLY = _build_family(
     c_plus="a^(-1)",
     c_minus="-a",
     c_zero="z",
-    closed_form=_homfly_closed,
+    lucas=_homfly_lucas,
     hopf="a*z + a*z^(-1) - a^3*z^(-1)",
 )
 
@@ -195,22 +184,22 @@ FAMILIES: dict[str, FamilySpec] = {
 
 
 def alexander_torus(n: int) -> LaurentPoly:
-    """Alexander value of T(n,2), odd n: [m+1]_t - [m]_t with m = (n-1)/2."""
+    """Alexander value of T(n,2), odd n: U_{m+1} + k2 U_m = [m+1]_t - [m]_t, m = (n-1)/2."""
     return ALEXANDER.value(n)
 
 
 def generalized_alexander_torus(n: int) -> LaurentPoly:
-    """Generalized Alexander value of T(n,2), odd n: [m+1]_{q,p} - qp [m]_{q,p}."""
+    """Generalized Alexander value of T(n,2), odd n: U_{m+1} + k2 U_m = [m+1]_{q,p} - qp [m]_{q,p}."""
     return GENERALIZED_ALEXANDER.value(n)
 
 
 def jones_torus(n: int) -> LaurentPoly:
-    """Jones value of T(n,2), odd n: [m+1]_{t^3,t} - t^4 [m]_{t^3,t}."""
+    """Jones value of T(n,2), odd n: U_{m+1} + k2 U_m = [m+1]_{t^3,t} - t^4 [m]_{t^3,t}."""
     return JONES.value(n)
 
 
 def homfly_torus(n: int) -> LaurentPoly:
-    """Homfly value of T(n,2), odd n: a^(2m) ([m+1]_w - a^2 [m]_w), w = z^2 + 2."""
+    """Homfly value of T(n,2), odd n: U_{m+1} + k2 U_m = a^(2m) ([m+1]_w - a^2 [m]_w), w = z^2 + 2."""
     return HOMFLY.value(n)
 
 

@@ -10,13 +10,16 @@ the one place that builds it.  The named cases are the symmetric q-number
 
     [n+1]_{u,v} = (u + v) [n]_{u,v} - u v [n-1]_{u,v}
 
-which verify_q_recurrence and verify_qp_recurrence confirm by exact
-polynomial equality.
+so it is the Lucas sequence U_n of the knot step (u + v, -uv), the U of
+the families' closed forms.  verify_q_recurrence and verify_qp_recurrence
+confirm it by exact polynomial equality against _steps, the one recurrence
+stepper, which skein's sequences run too.
 """
 
 from __future__ import annotations
 
 from itertools import islice, repeat
+from typing import Iterator
 
 from .laurent import ContextMismatch, LaurentPoly, VarContext, parse
 from .report import CheckReport, compare
@@ -40,7 +43,7 @@ def uv_number(n: int, u: LaurentPoly, v: LaurentPoly) -> LaurentPoly:
         raise ContextMismatch(f"u and v must share one context, got {context.names} and {v.context.names}")
     if u.num_terms != 1 or v.num_terms != 1:
         raise ValueError("[n]_{u,v} needs u and v to be single terms")
-    ((ux, us),), ((vx, vs),) = u.terms.items(), v.terms.items()
+    ((ux, us),), ((vx, vs),) = u._terms.items(), v._terms.items()
     if us not in (1, -1) or vs not in (1, -1):
         raise ValueError("[n]_{u,v} needs u and v to have coefficient +1 or -1")
     s1 = us if n % 2 == 0 else 1
@@ -91,22 +94,27 @@ def jones_number(n: int) -> LaurentPoly:
     return uv_number(n, *_JONES_PAIR)
 
 
-def _neighbours(build, n_max: int):
-    """(n, [n-1], [n], [n+1]) for 1 <= n <= n_max, building each number once."""
-    below, here = build(0), build(1)
-    for n in range(1, n_max + 1):
-        above = build(n + 1)
-        yield n, below, here, above
-        below, here = here, above
+def _steps(
+    c1: LaurentPoly, c2: LaurentPoly, first: LaurentPoly, second: LaurentPoly
+) -> Iterator[LaurentPoly]:
+    """first, second, then c1 * cur + c2 * prev for each later entry, holding
+    only the two entries the next step reads.  This is the one recurrence
+    stepper: the skein steps run it with (l1, l2) and (k1, k2), the
+    recurrence checks with (u + v, -uv)."""
+    prev, cur = first, second
+    yield prev
+    while True:
+        yield cur
+        prev, cur = cur, c1 * cur + c2 * prev
 
 
 def _verify_recurrence(name: str, build, pair, n_max: int) -> CheckReport:
     """Check [n+1] = (u + v)[n] - uv [n-1] exactly for 1 <= n <= n_max, where
-    build(n) is [n]_{u,v} for the pair (u, v) of single +/-1 terms."""
+    build(n) is [n]_{u,v} for the pair (u, v) of single +/-1 terms: each
+    build(n+1) against the recurrence stepped from build(0) and build(1)."""
     u, v = pair
-    step, product = u + v, u * v
-    cases = ((n, above, step * here - product * below) for n, below, here, above in _neighbours(build, n_max))
-    return compare(name, cases)
+    stepped = islice(_steps(u + v, -(u * v), build(0), build(1)), 2, None)
+    return compare(name, ((n - 1, build(n), rhs) for n, rhs in zip(range(2, n_max + 2), stepped)))
 
 
 def verify_q_recurrence(n_max: int) -> CheckReport:

@@ -15,13 +15,15 @@ knot values collapse to an ansatz in two-parameter numbers:
     P(2m+1) = a1 [m+1]_{u,v} - a2 [m]_{u,v}
 
 whose coefficients fit_ansatz determines from the first two knots and then
-verifies against every entry it is given.
+verifies against every entry it is given.  On a knot-step sequence the fit
+is (1, -k2): [m]_{u,v} is then the Lucas sequence U_m of (k1, k2), and
+every knot value is U_{m+1} + k2 U_m.  Both steps run qnumbers._steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .laurent import (
     ContextMismatch,
@@ -31,7 +33,7 @@ from .laurent import (
     VarContext,
     exact_sqrt,
 )
-from .qnumbers import uv_number
+from .qnumbers import _steps, uv_number
 
 
 class InvalidTorusIndex(TorkitError, ValueError):
@@ -135,19 +137,6 @@ def k_to_l(pair: KnotStepPair) -> SkeinPair:
             continue
         return SkeinPair(l1, l2)
     raise NotInvertible("neither sign of sqrt(-k2) makes k1 - 2*l2 a perfect square")
-
-
-def _steps(
-    c1: LaurentPoly, c2: LaurentPoly, first: LaurentPoly, second: LaurentPoly
-) -> Iterator[LaurentPoly]:
-    """first, second, then c1 * cur + c2 * prev for each later entry, holding
-    only the two entries the next step reads.  The full step runs it with
-    (l1, l2) and the knot-only step with (k1, k2)."""
-    prev, cur = first, second
-    yield prev
-    while True:
-        yield cur
-        prev, cur = cur, c1 * cur + c2 * prev
 
 
 def gen_odd_sequence(pair: KnotStepPair, n_max: int) -> dict[int, LaurentPoly]:

@@ -7,7 +7,6 @@ scoreboard.  Every check is exact; there are no tolerances anywhere.
 
 from __future__ import annotations
 
-import json
 import random
 import subprocess
 import sys
@@ -15,12 +14,9 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-import pytest
-
 from conftest import CTX_QP, CTX_T, cleared_eval
 from torkit import (
     FAMILIES,
-    LaurentPoly,
     alexander_torus,
     fit_ansatz,
     gen_odd_sequence,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CTX_QP, CTX_T
+from conftest import CTX_QP
 from torkit import EvenIndexUnsupported, FamilySpec, InvalidTorusIndex, jones_number, parse, to_json_obj
 from torkit import cli, families, skein
 from torkit.cli import _corrupted_registry, main, run_verification

@@ -12,6 +12,7 @@ import pytest
 from conftest import CTX_Q, CTX_QP, CTX_T
 from torkit import (
     ContextMismatch,
+    LaurentPoly,
     jones_number,
     parse,
     q_number,
@@ -21,6 +22,7 @@ from torkit import (
     verify_q_recurrence,
     verify_qp_recurrence,
 )
+from torkit import qnumbers
 from torkit.cli import _NUMBER_KINDS
 
 T = parse("t", CTX_T)
@@ -97,6 +99,42 @@ class TestQNumber:
         for n in (True, 2.0):
             with pytest.raises(ValueError):
                 q_number(n)
+
+
+def _one_wrong(build, k):
+    """build, except that [k] is off by one."""
+
+    def wrong(n, *args):
+        value = build(n, *args)
+        return value + LaurentPoly.one(value.context) if n == k else value
+
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "name, check, k, line",
+    [
+        (
+            "q_number", verify_q_recurrence, 7,
+            "FAIL q-number-recurrence: first counterexample at n=6: "
+            "q^6 + q^4 + q^2 + 2 + q^(-2) + q^(-4) + q^(-6) != q^6 + q^4 + q^2 + 1 + q^(-2) + q^(-4) + q^(-6)",
+        ),
+        (
+            "q_number", verify_q_recurrence, 0,
+            "FAIL q-number-recurrence: first counterexample at n=1: q + q^(-1) != q - 1 + q^(-1)",
+        ),
+        (
+            "qp_number", verify_qp_recurrence, 1,
+            "FAIL qp-number-recurrence: first counterexample at n=1: q + p != 2*q + 2*p",
+        ),
+    ],
+    ids=["q-7", "q-0", "qp-1"],
+)
+def test_recurrence_check_fails_at_the_first_case_reading_a_wrong_number(monkeypatch, name, check, k, line):
+    monkeypatch.setattr(qnumbers, name, _one_wrong(getattr(qnumbers, name), k))
+    report = check(20)
+    assert report.checked == 20
+    assert report.format_line() == line
 
 
 class TestQPNumber:
