@@ -69,6 +69,8 @@ class FamilySpec:
     so it never reads knot_step.  hopf, when present, is the n=2 link
     value consistent with the knot values (the generalized family has none:
     l1 * base2 = l1^2 + l2 - l2^2 has no Laurent-polynomial solution there).
+    ansatz, when present, is the paper's (a1, a2), the oracle that verify
+    checks fit_ansatz against (homfly has none: the fit needs its second shape).
     """
 
     name: str
@@ -78,6 +80,7 @@ class FamilySpec:
     knot_step: KnotStepPair
     closed_form: Callable[[int], LaurentPoly]
     hopf: Optional[LaurentPoly] = None
+    ansatz: Optional[tuple[LaurentPoly, LaurentPoly]] = None
 
     def value(self, n: int) -> LaurentPoly:
         """The T(n,2) value for odd n, from the closed form."""
@@ -96,6 +99,7 @@ def _build_family(
     c_zero: str,
     lucas: Callable[[int], LaurentPoly],
     hopf: Optional[str] = None,
+    ansatz: Optional[tuple[str, str]] = None,
 ) -> FamilySpec:
     plus = parse(c_plus, context)
     minus = parse(c_minus, context)
@@ -120,6 +124,7 @@ def _build_family(
         knot_step=knot_step,
         closed_form=lambda m: lucas(m + 1) + k2 * lucas(m),
         hopf=parse(hopf, context) if hopf else None,
+        ansatz=(parse(ansatz[0], context), parse(ansatz[1], context)) if ansatz else None,
     )
 
 
@@ -146,6 +151,7 @@ ALEXANDER = _build_family(
     c_zero="t^(1/2) - t^(-1/2)",
     lucas=lambda k: q_number(k, "t"),
     hopf="t^(1/2) - t^(-1/2)",
+    ansatz=("1", "1"),
 )
 
 GENERALIZED_ALEXANDER = _build_family(
@@ -156,6 +162,7 @@ GENERALIZED_ALEXANDER = _build_family(
     c_zero="q^(1/2) - p^(1/2)",
     lucas=lambda k: qp_number(k),
     hopf=None,
+    ansatz=("1", "q*p"),
 )
 
 JONES = _build_family(
@@ -166,6 +173,7 @@ JONES = _build_family(
     c_zero="t^(1/2) - t^(-1/2)",
     lucas=lambda k: jones_number(k),
     hopf="-t^(1/2) - t^(5/2)",
+    ansatz=("1", "t^4"),
 )
 
 HOMFLY = _build_family(

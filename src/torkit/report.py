@@ -6,47 +6,41 @@ from dataclasses import dataclass
 from typing import Iterable
 
 
-@dataclass(frozen=True)
-class CheckFailure:
-    """One counterexample: the index it occurred at and both sides as text."""
-
-    n: int
-    lhs: str
-    rhs: str
-    note: str = ""
+def counterexample(n: int, lhs: object, rhs: object) -> str:
+    """The text of a failed check: where it first failed and both sides there."""
+    return f"first counterexample at n={n}: {lhs} != {rhs}"
 
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of checking one identity over a range of indices."""
+    """Outcome of checking one identity: the cases checked and the text of
+    the first failure, "" when every case passed."""
 
     name: str
     checked: int
-    failures: tuple[CheckFailure, ...] = ()
+    failure: str = ""
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return not self.failure
 
     def format_line(self) -> str:
         if self.passed:
             return f"PASS {self.name} ({self.checked} cases)"
-        f = self.failures[0]
-        if not f.lhs and not f.rhs:
-            return f"FAIL {self.name}: {f.note}"
-        return f"FAIL {self.name}: first counterexample at n={f.n}: {f.lhs} != {f.rhs}"
+        return f"FAIL {self.name}: {self.failure}"
 
 
 def compare(name: str, cases: Iterable[tuple[int, object, object]]) -> CheckReport:
     """Decide lhs == rhs for every (n, lhs, rhs) case; one case per triple.
 
-    Cases are drawn lazily, so an exception raised while building one
-    propagates to the caller unchanged.
+    Every case is counted, but only the first mismatch is rendered.  Cases
+    are drawn lazily, so an exception raised while building one propagates
+    to the caller unchanged.
     """
     checked = 0
-    failures = []
+    failure = ""
     for n, lhs, rhs in cases:
         checked += 1
-        if lhs != rhs:
-            failures.append(CheckFailure(n, str(lhs), str(rhs)))
-    return CheckReport(name, checked, tuple(failures))
+        if lhs != rhs and not failure:
+            failure = counterexample(n, lhs, rhs)
+    return CheckReport(name, checked, failure)

@@ -6,6 +6,7 @@ Exit code contract: 0 on success, 1 when a verification check fails,
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -273,6 +274,52 @@ class TestVerify:
         assert rc == 1
         assert "FAIL" in out
         assert "n=3" in out
+
+    def test_ansatz_mismatch_reports_the_fit_against_the_registry(self, monkeypatch, capsys):
+        spec = cli.FAMILIES["jones"]
+        wrong = (parse("1", families.T_CTX), parse("t^2", families.T_CTX))
+        monkeypatch.setitem(cli.FAMILIES, "jones", dataclasses.replace(spec, ansatz=wrong))
+        rc, out, _ = run(capsys, "verify", "--n-max", "5")
+        assert rc == 1
+        assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
+            "FAIL ansatz[jones]: first counterexample at n=1: (a1, a2) = (1, t^4) != (1, t^2)",
+            "23/24 checks passed",
+        ]
+
+    def test_k_roundtrip_mismatch_reports_both_pairs(self, monkeypatch, capsys):
+        real = cli.k_to_l
+        monkeypatch.setattr(cli, "k_to_l", lambda k: skein.SkeinPair(real(k).l1, -real(k).l2))
+        rc, out, _ = run(capsys, "verify", "--n-max", "5")
+        assert rc == 1
+        assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
+            "FAIL k-roundtrip[alexander]: first counterexample at n=0: "
+            "(t - 4 + t^(-1), -1) != (t + t^(-1), -1)",
+            "FAIL k-roundtrip[generalized-alexander]: first counterexample at n=0: "
+            "(q - 4*q^(1/2)*p^(1/2) + p, -q*p) != (q + p, -q*p)",
+            "FAIL k-roundtrip[jones]: first counterexample at n=0: "
+            "(t^3 - 4*t^2 + t, -t^4) != (t^3 + t, -t^4)",
+            "FAIL k-roundtrip[homfly]: first counterexample at n=0: "
+            "(a^2*z^2 - 2*a^2, -a^4) != (a^2*z^2 + 2*a^2, -a^4)",
+            "20/24 checks passed",
+        ]
+
+    def test_ansatz_checks_follow_the_registry(self, capsys):
+        assert families.FAMILIES["homfly"].ansatz is None
+        _, out, _ = run(capsys, "verify", "--n-max", "5")
+        ansatz_lines = [line for line in out.splitlines() if "ansatz[" in line]
+        assert ansatz_lines == [
+            f"PASS ansatz[{f}] (3 cases)" for f in ("alexander", "generalized-alexander", "jones")
+        ]
+
+    def test_a_failing_report_holds_one_counterexample(self):
+        reports = run_verification(101, _corrupted_registry("homfly"))
+        failing = [r for r in reports if not r.passed]
+        assert [r.name for r in failing] == [
+            "closed-form-vs-recurrence[homfly]", "interleave[homfly]"
+        ]
+        for report in failing:
+            assert report.failure.count("counterexample") == 1
+            assert report.format_line() == f"FAIL {report.name}: {report.failure}"
 
     def test_even_bound_is_usage_error(self, capsys):
         rc, _, err = run(capsys, "verify", "--n-max", "8")
