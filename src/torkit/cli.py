@@ -136,8 +136,8 @@ def run_verification(
 
     n_max is an odd torus index of at least 3, since the ansatz fit needs
     T(3,2); anything else raises InvalidTorusIndex.  Each family's inputs are
-    built once, inside the guard of the first check that reads them, and
-    shared by the checks after it.
+    built once, inside the guard of the first check that reads them, shared
+    by the checks after it, and released after the last.
     """
     if odd_index(n_max) < 1:
         raise InvalidTorusIndex(f"verification needs n_max >= 3, got {n_max}: fit_ansatz needs T(3,2)")
@@ -197,35 +197,45 @@ def run_verification(
         )
         return compare(name, cases)
 
-    checks = [
-        # Each lambda binds its loop variables as defaults, and builds its
-        # sequences when the guard calls it.
-        *(
-            (f"closed-form-vs-recurrence[{f}]", lambda name, f=f: agree(name, recurrence(f), values(f)))
-            for f in reg
+    # Each lambda binds its loop variables as defaults, and builds its
+    # sequences when the guard calls it.  A stage's last entry is the cache
+    # that no later stage reads; it is cleared once the stage has run.
+    stages = [
+        (
+            *(
+                (f"closed-form-vs-recurrence[{f}]", lambda name, f=f: agree(name, recurrence(f), values(f)))
+                for f in reg
+            ),
+            *(
+                (f"substitute[{s}->{t}]", lambda name, s=s, t=t, m=m: agree(name, values(s), values(t), m))
+                for (s, t), m in _CONVERSIONS.items()
+            ),
+            values,
         ),
-        *(
-            (f"substitute[{s}->{t}]", lambda name, s=s, t=t, m=m: agree(name, values(s), values(t), m))
-            for (s, t), m in _CONVERSIONS.items()
+        (
+            ("q-number-recurrence", lambda name: verify_q_recurrence(n_max)),
+            ("qp-number-recurrence", lambda name: verify_qp_recurrence(n_max)),
+            ("qp-number-reduces-to-q", qp_reduction),
+            *((f"ansatz[{f}]", partial(ansatz, f)) for f, spec in reg.items() if spec.ansatz is not None),
+            # The odd entries of the full step against the family's own knot step.
+            *(
+                (f"interleave[{f}]", lambda name, f=f: agree(name, full(f), recurrence(f)))
+                for f, spec in reg.items()
+                if spec.hopf is not None
+            ),
+            recurrence,
         ),
-        ("q-number-recurrence", lambda name: verify_q_recurrence(n_max)),
-        ("qp-number-recurrence", lambda name: verify_qp_recurrence(n_max)),
-        ("qp-number-reduces-to-q", qp_reduction),
-        *(
-            (f"ansatz[{f}]", partial(ansatz, f))
-            for f, spec in reg.items()
-            if spec.ansatz is not None
+        (
+            *((f"k-roundtrip[{f}]", partial(roundtrip, f)) for f in reg),
+            *((f"skein-form[{f}]", partial(skein_form, f)) for f in reg),
+            full,
         ),
-        # The odd entries of the full step against the family's own knot step.
-        *(
-            (f"interleave[{f}]", lambda name, f=f: agree(name, full(f), recurrence(f)))
-            for f, spec in reg.items()
-            if spec.hopf is not None
-        ),
-        *((f"k-roundtrip[{f}]", partial(roundtrip, f)) for f in reg),
-        *((f"skein-form[{f}]", partial(skein_form, f)) for f in reg),
     ]
-    return [_guarded(name, check) for name, check in checks]
+    reports = []
+    for *checks, built in stages:
+        reports += [_guarded(name, check) for name, check in checks]
+        built.cache_clear()
+    return reports
 
 
 def _corrupted_registry(family: str) -> dict[str, FamilySpec]:

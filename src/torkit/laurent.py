@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt, prod
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -30,7 +29,7 @@ class ContextMismatch(TorkitError):
 
 
 class MissingAssignment(TorkitError):
-    """A substitution or evaluation left a context variable unassigned."""
+    """A substitution left a context variable unassigned."""
 
 
 class NegativePowerOfPolynomial(TorkitError):
@@ -43,10 +42,6 @@ class NotAPerfectSquare(TorkitError):
 
 class NonIntegralExponent(TorkitError):
     """An operation needed an integer exponent but met a fractional one."""
-
-
-class ZeroBase(TorkitError):
-    """A variable was evaluated at zero, where negative powers blow up."""
 
 
 class UnknownVariable(TorkitError):
@@ -294,40 +289,6 @@ class LaurentPoly:
         if not isinstance(assignments, Substitution):
             assignments = Substitution(self._context, target, assignments)
         return assignments._apply(self, target)
-
-    # -- evaluation ------------------------------------------------------------
-
-    def eval_rational(self, point: Mapping[str, object]) -> Fraction:
-        """Exact value at a rational point; every exponent must be integral.
-
-        Values are ints or Fractions; a bool or a float raises TypeError.
-        """
-        values = []
-        for name in self._context:
-            if name not in point:
-                raise MissingAssignment(f"no value for variable {name!r}")
-            v = point[name]
-            # type(), not isinstance(), for int: bool is an int subclass and is rejected.
-            if type(v) is not int and not isinstance(v, Fraction):
-                raise TypeError(f"value for {name!r} must be an int or a Fraction, got {type(v).__name__}")
-            v = Fraction(v)
-            if v == 0:
-                raise ZeroBase(f"variable {name!r} evaluated at zero")
-            values.append(v)
-        for name in point:
-            if name not in self._context:
-                raise UnknownVariable(f"value given for {name!r}, which is not in {self._context.names}")
-        total = Fraction(0)
-        for exps, coeff in self._terms.items():
-            prod = Fraction(coeff)
-            for v, e in zip(values, exps):
-                if e % 4:
-                    raise NonIntegralExponent(
-                        f"exponent {Fraction(e, 4)} is not an integer; clear quarter powers first"
-                    )
-                prod *= v ** (e // 4)
-            total += prod
-        return total
 
     # -- rendering ---------------------------------------------------------------
 

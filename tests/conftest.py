@@ -1,13 +1,12 @@
-"""Shared test helpers: contexts, hypothesis strategies, evaluation oracle."""
+"""Shared test helpers: contexts, hypothesis strategies, the mod-p point oracle."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
 import hypothesis.strategies as st
 
-from torkit import LaurentPoly, VarContext
+from torkit import KnotStepPair, LaurentPoly, VarContext
 
 CTX_T = VarContext(("t",))
 CTX_Q = VarContext(("q",))
@@ -18,14 +17,10 @@ CTX_AZ = VarContext(("a", "z"))
 def polys(
     context: VarContext = CTX_QP,
     max_terms: int = 5,
-    integral: bool = False,
     quarter_bound: int = 10,
 ):
     """Strategy for random sparse Laurent polynomials in the given context."""
-    if integral:
-        exp = st.integers(-3, 3).map(lambda k: 4 * k)
-    else:
-        exp = st.integers(-quarter_bound, quarter_bound)
+    exp = st.integers(-quarter_bound, quarter_bound)
     exps = st.tuples(*([exp] * len(context)))
     coeff = st.integers(-9, 9).filter(lambda c: c != 0)
     return st.lists(st.tuples(exps, coeff), max_size=max_terms).map(
@@ -43,27 +38,35 @@ def leading_coefficient(f: LaurentPoly) -> int:
     return terms[max(terms)]
 
 
-def rationals():
-    """Nonzero rationals with small numerators and denominators."""
-    return st.fractions(
-        min_value=Fraction(-9), max_value=Fraction(9), max_denominator=9
-    ).filter(lambda v: v != 0)
+PRIME = 2**61 - 1
 
 
-def cleared_eval(f: LaurentPoly, values: list[Fraction]) -> Fraction:
-    """Evaluate f after clearing quarter powers: each variable v becomes the
-    fourth power of a fresh variable, which is then set to the given rational.
+def fingerprint(f: LaurentPoly, roots) -> int:
+    """f mod PRIME where each variable's fourth root is the matching residue in roots.
 
-    This is an oracle path independent of polynomial-level equality: two
-    polynomials that disagree anywhere disagree at almost every such point.
+    A term c x^(e1/4) y^(e2/4) becomes c r1^e1 r2^e2, pow giving the inverse
+    for negative e.  This is a ring map from Laurent polynomials in quarter
+    powers to the integers mod PRIME, so at random roots two different
+    polynomials agree with probability at most their degree span over PRIME
+    (J. Schwartz, J. ACM 27, 1980; R. Zippel, EUROSAM 1979).
     """
-    fresh = ("s", "r")[: len(f.context)]
-    target = VarContext(fresh)
-    mapping = {
-        name: f"{new}^4" for name, new in zip(f.context.names, fresh)
-    }
-    cleared = f.substitute_monomial(target, mapping)
-    return cleared.eval_rational(dict(zip(fresh, values)))
+    total = 0
+    for exps, c in f.terms.items():
+        c %= PRIME
+        for r, e in zip(roots, exps):
+            c = c * pow(r, e, PRIME) % PRIME
+        total += c
+    return total % PRIME
+
+
+def stepped_fingerprint(step: KnotStepPair, n: int, roots) -> int:
+    """The fingerprint of T(n,2)'s value, odd n, from the knot step run as a
+    scalar recurrence mod PRIME: P(-1) = P(1) = 1, P(n+2) = k1 P(n) + k2 P(n-2)."""
+    k1, k2 = fingerprint(step.k1, roots), fingerprint(step.k2, roots)
+    prev = cur = 1
+    for _ in range((n - 1) // 2):
+        prev, cur = cur, (k1 * cur + k2 * prev) % PRIME
+    return cur
 
 
 @st.composite

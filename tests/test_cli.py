@@ -11,12 +11,13 @@ import json
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 from conftest import CTX_QP
-from torkit import EvenIndexUnsupported, FamilySpec, InvalidTorusIndex, jones_number, parse, to_json_obj
+from torkit import EvenIndexUnsupported, FamilySpec, InvalidTorusIndex, LaurentPoly, jones_number, parse, to_json_obj
 from torkit import cli, families, skein
 from torkit.cli import _corrupted_registry, main, run_verification
 from torkit.skein import odd_index
@@ -382,6 +383,45 @@ class TestVerify:
             if (label, args, kwargs) in calls[:i]
         ]
         assert not repeated
+
+    def test_inputs_are_released_after_their_last_reader(self, monkeypatch):
+        """The closed-form values are last read by substitute[...] and the
+        knot-step sequences by interleave[...]; neither outlives its readers."""
+
+        class TrackedPoly(LaurentPoly):
+            __slots__ = ("__weakref__",)
+
+        class TrackedDict(dict):
+            pass
+
+        values, sequences, alive = [], [], {}
+        value, sequence = FamilySpec.value, FamilySpec.sequence
+
+        def tracked_value(spec, n):
+            out = TrackedPoly._make(spec.context, value(spec, n).terms)
+            values.append(weakref.ref(out))
+            return out
+
+        def tracked_sequence(spec, n_max):
+            out = TrackedDict(sequence(spec, n_max))
+            sequences.append(weakref.ref(out))
+            return out
+
+        def probe(label, fn):
+            def wrapper(*args):
+                live = lambda refs: sum(ref() is not None for ref in refs)
+                alive.setdefault(label, (live(values), live(sequences)))
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(FamilySpec, "value", tracked_value)
+        monkeypatch.setattr(FamilySpec, "sequence", tracked_sequence)
+        monkeypatch.setattr(cli, "verify_q_recurrence", probe("q-number-recurrence", cli.verify_q_recurrence))
+        monkeypatch.setattr(cli, "l_to_k", probe("k-roundtrip", cli.l_to_k))
+        assert all(report.passed for report in run_verification(21))
+        assert len(values) == 4 * 11 and len(sequences) == 4
+        assert alive == {"q-number-recurrence": (0, 4), "k-roundtrip": (0, 0)}
 
 
 class TestSubprocess:

@@ -8,7 +8,6 @@ plain rational arithmetic) before the operations were implemented.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -24,7 +23,6 @@ from torkit import (
     Substitution,
     UnknownVariable,
     VarContext,
-    ZeroBase,
     exact_sqrt,
     from_json,
     from_json_obj,
@@ -428,44 +426,6 @@ class TestExactSqrt:
         with pytest.raises(NotAPerfectSquare) as info:
             exact_sqrt(LaurentPoly(CTX_T, {(0,): 10 ** 4400 + 1}))
         assert f"leading coefficient 1{'0' * 4399}1 is not" in str(info.value)
-
-
-class TestEvalRational:
-    def test_simple_values(self):
-        # q + p - qp at q=2, p=3: 2 + 3 - 6 = -1
-        f = P("q + p - q*p")
-        assert f.eval_rational({"q": 2, "p": 3}) == Fraction(-1)
-
-    def test_fractions(self):
-        # t - 1 + 1/t at t = 1/2: 1/2 - 1 + 2 = 3/2
-        f = P("t - 1 + t^(-1)", CTX_T)
-        assert f.eval_rational({"t": Fraction(1, 2)}) == Fraction(3, 2)
-
-    def test_negative_exponent_of_negative_base(self):
-        f = P("q^(-2)", CTX_Q)
-        assert f.eval_rational({"q": Fraction(-2, 3)}) == Fraction(9, 4)
-
-    def test_fractional_exponent_rejected(self):
-        with pytest.raises(NonIntegralExponent):
-            P("q^(1/2)", CTX_Q).eval_rational({"q": 4})
-
-    def test_zero_base_rejected(self):
-        with pytest.raises(ZeroBase):
-            P("q^(-1)", CTX_Q).eval_rational({"q": 0})
-
-    def test_missing_value_rejected(self):
-        with pytest.raises(MissingAssignment):
-            P("q + p").eval_rational({"q": 1})
-
-    def test_extra_value_rejected(self):
-        with pytest.raises(UnknownVariable):
-            P("q", CTX_Q).eval_rational({"q": 1, "t": 2})
-
-    @pytest.mark.parametrize("value", [True, 0.1, 2.0, "2"])
-    def test_bool_or_inexact_value_rejected(self, value):
-        # True is not read as 1, nor 0.1 as the binary fraction nearest it.
-        with pytest.raises(TypeError):
-            P("t", CTX_T).eval_rational({"t": value})
 
 
 class TestCanonicalString:
