@@ -13,7 +13,7 @@ import dataclasses
 import json
 import sys
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from typing import Callable, Optional
 
 from .families import (
@@ -121,14 +121,6 @@ def cmd_qnum(args: argparse.Namespace) -> int:
 
 # -- the verification battery -------------------------------------------------
 
-def _guarded(name: str, check: Callable[[str], CheckReport]) -> CheckReport:
-    # A check that blows up should read as a failure, not a crash.
-    try:
-        return check(name)
-    except TorkitError as exc:
-        return CheckReport(name, 0, f"{type(exc).__name__}: {exc}")
-
-
 def run_verification(
     n_max: int, registry: Optional[dict[str, FamilySpec]] = None
 ) -> list[CheckReport]:
@@ -170,7 +162,7 @@ def run_verification(
         cases = ((n, to_alexander(qp_number(n)), q_number(n, "t")) for n in range(n_max + 1))
         return compare(name, cases)
 
-    def ansatz(family: str, name: str) -> CheckReport:
+    def ansatz(name: str, family: str) -> CheckReport:
         spec = reg[family]
         qhat, phat = solve_parameters(spec.knot_step)
         coeffs = fit_ansatz(recurrence(family), qhat, phat)
@@ -180,7 +172,7 @@ def run_verification(
             failure = counterexample(1, f"(a1, a2) = ({coeffs.a1}, {coeffs.a2})", f"({a1}, {a2})")
         return CheckReport(name, (n_max + 1) // 2, failure)
 
-    def roundtrip(family: str, name: str) -> CheckReport:
+    def roundtrip(name: str, family: str) -> CheckReport:
         k = l_to_k(reg[family].skein)
         again = l_to_k(k_to_l(k))
         failure = ""
@@ -188,7 +180,7 @@ def run_verification(
             failure = counterexample(0, f"({again.k1}, {again.k2})", f"({k.k1}, {k.k2})")
         return CheckReport(name, 1, failure)
 
-    def skein_form(family: str, name: str) -> CheckReport:
+    def skein_form(name: str, family: str) -> CheckReport:
         seq = full(family)
         c_plus, c_minus, c_zero = reg[family].skein_form
         cases = (
@@ -197,44 +189,39 @@ def run_verification(
         )
         return compare(name, cases)
 
-    # Each lambda binds its loop variables as defaults, and builds its
-    # sequences when the guard calls it.  A stage's last entry is the cache
-    # that no later stage reads; it is cleared once the stage has run.
-    stages = [
-        (
-            *(
-                (f"closed-form-vs-recurrence[{f}]", lambda name, f=f: agree(name, recurrence(f), values(f)))
-                for f in reg
-            ),
-            *(
-                (f"substitute[{s}->{t}]", lambda name, s=s, t=t, m=m: agree(name, values(s), values(t), m))
-                for (s, t), m in _CONVERSIONS.items()
-            ),
-            values,
-        ),
-        (
-            ("q-number-recurrence", lambda name: verify_q_recurrence(n_max)),
-            ("qp-number-recurrence", lambda name: verify_qp_recurrence(n_max)),
-            ("qp-number-reduces-to-q", qp_reduction),
-            *((f"ansatz[{f}]", partial(ansatz, f)) for f, spec in reg.items() if spec.ansatz is not None),
-            # The odd entries of the full step against the family's own knot step.
-            *(
-                (f"interleave[{f}]", lambda name, f=f: agree(name, full(f), recurrence(f)))
-                for f, spec in reg.items()
-                if spec.hopf is not None
-            ),
-            recurrence,
-        ),
-        (
-            *((f"k-roundtrip[{f}]", partial(roundtrip, f)) for f in reg),
-            *((f"skein-form[{f}]", partial(skein_form, f)) for f in reg),
-            full,
-        ),
-    ]
     reports = []
-    for *checks, built in stages:
-        reports += [_guarded(name, check) for name, check in checks]
-        built.cache_clear()
+
+    def run(name: str, check: Callable[[str], CheckReport]) -> None:
+        # A check that blows up should read as a failure, not a crash.
+        try:
+            reports.append(check(name))
+        except TorkitError as exc:
+            reports.append(CheckReport(name, 0, f"{type(exc).__name__}: {exc}"))
+
+    # run calls each check at once, so a lambda reads its loop's current
+    # names, and the check builds the inputs it reads inside the guard.  An
+    # input is cleared once no later check reads it.
+    for f in reg:
+        run(f"closed-form-vs-recurrence[{f}]", lambda name: agree(name, recurrence(f), values(f)))
+    for (s, t), mapping in _CONVERSIONS.items():
+        run(f"substitute[{s}->{t}]", lambda name: agree(name, values(s), values(t), mapping))
+    values.cache_clear()
+    run("q-number-recurrence", lambda name: verify_q_recurrence(n_max))
+    run("qp-number-recurrence", lambda name: verify_qp_recurrence(n_max))
+    run("qp-number-reduces-to-q", qp_reduction)
+    for f, spec in reg.items():
+        if spec.ansatz is not None:
+            run(f"ansatz[{f}]", lambda name: ansatz(name, f))
+    # The odd entries of the full step against the family's own knot step.
+    for f, spec in reg.items():
+        if spec.hopf is not None:
+            run(f"interleave[{f}]", lambda name: agree(name, full(f), recurrence(f)))
+    recurrence.cache_clear()
+    for f in reg:
+        run(f"k-roundtrip[{f}]", lambda name: roundtrip(name, f))
+    for f in reg:
+        run(f"skein-form[{f}]", lambda name: skein_form(name, f))
+    full.cache_clear()
     return reports
 
 

@@ -396,36 +396,32 @@ def _kronecker_terms(a: dict, b: dict) -> dict | None:
     2009), or None when the product's exponent box has more than half as
     many slots as there are term pairs, where the pairwise loop wins.
 
-    Each variable's exponents are shifted to start at 0 and divided by
-    their common stride; the product's box, read in row-major order, numbers
-    the slots.  Two variables are numbered in the coordinates (x0, x1) or
-    (x0, x0 + x1), whichever box is smaller: terms on a few antidiagonals
-    ([m]_{q,p}, the powers of z = q^(1/4)p^(-1/4) - q^(-1/4)p^(1/4), the
-    generalized Alexander values) fill a thin band of the first box and all
-    of the second.  Each operand becomes one int with a slot every 4*h bits,
-    wide enough for any product coefficient, and a single big-int multiply
-    gives every coefficient at once.  Adding 8 in the top hex digit of every
-    slot makes all slots nonnegative, so one hex rendering unpacks them; only
+    Each coordinate is shifted to start at 0 and divided by its common
+    stride; the product's box, read in row-major order, numbers the slots.
+    Two variables are always numbered in the coordinates (x0, x0 + x1):
+    terms on a few antidiagonals ([m]_{q,p}, the powers of
+    z = q^(1/4)p^(-1/4) - q^(-1/4)p^(1/4), the generalized Alexander values)
+    fill all of that box, and HOMFLY values fill it as fully as the plain
+    (x0, x1) box.  Dense square operands, which no library caller makes, get
+    twice the slots of the plain box there, or the pairwise loop.  Each
+    operand becomes one int with a slot every 4*h bits, wide enough for any
+    product coefficient, and a single big-int multiply gives every
+    coefficient at once.  Adding 8 in the top hex digit of every slot makes
+    all slots nonnegative, so one hex rendering unpacks them; only
     power-of-two bases are used, so no int/str digit limit applies.
     """
     cols_a, cols_b = [list(col) for col in zip(*a)], [list(col) for col in zip(*b)]
-    lows_a, lows_b, strides, spans = _box(cols_a, cols_b)
-    sheared = False
-    if len(spans) == 2:
+    if len(cols_a) == 2:
         cols_a[1] = [x0 + x1 for x0, x1 in a]
         cols_b[1] = [x0 + x1 for x0, x1 in b]
-        alt = _box(cols_a, cols_b)
-        if prod(alt[3]) < prod(spans):
-            lows_a, lows_b, strides, spans = alt
-            a = {(x0, x0 + x1): c for (x0, x1), c in a.items()}
-            b = {(x0, x0 + x1): c for (x0, x1), c in b.items()}
-            sheared = True
+    lows_a, lows_b, strides, spans = _box(cols_a, cols_b)
     slots = prod(spans)
     if 2 * slots > len(a) * len(b):
         return None
     bound = max(map(abs, a.values())) * max(map(abs, b.values())) * len(a)
     h = bound.bit_length() // 4 + 1  # hex digits per slot: room for sign and bound
-    packed = _pack(a, lows_a, strides, spans, h) * _pack(b, lows_b, strides, spans, h)
+    packed = _pack(cols_a, a.values(), lows_a, strides, spans, h)
+    packed *= _pack(cols_b, b.values(), lows_b, strides, spans, h)
     empty = "8" + "0" * (h - 1)
     text = format(packed + int(empty * slots, 16), "x").zfill(slots * h)
     half = 1 << (4 * h - 1)
@@ -444,9 +440,8 @@ def _kronecker_terms(a: dict, b: dict) -> dict | None:
         chunk = text[j * h : (j + 1) * h]
         if chunk != empty:
             k0, k1 = divmod(top - j, span1)
-            out[(lo0 + k0 * g0, lo1 + k1 * g1)] = int(chunk, 16) - half
-    if sheared:
-        return {(x0, d - x0): c for (x0, d), c in out.items()}
+            x0 = lo0 + k0 * g0
+            out[(x0, lo1 + k1 * g1 - x0)] = int(chunk, 16) - half
     return out
 
 
@@ -464,19 +459,20 @@ def _box(cols_a: list, cols_b: list) -> tuple[list, list, list, list]:
     return lows_a, lows_b, strides, spans
 
 
-def _pack(terms: dict, lows: list, strides: list, spans: list, h: int) -> int:
-    """The operand as one int with h hex digits per slot of the product's box."""
+def _pack(cols: list, coeffs: Iterable, lows: list, strides: list, spans: list, h: int) -> int:
+    """The operand, given as coordinate columns and coefficients, as one int
+    with h hex digits per slot of the product's box."""
     if len(spans) == 1:
-        ((lo,), (g,)) = lows, strides
-        index = [(x - lo) // g for (x,) in terms]
+        ((xs,), (lo,), (g,)) = cols, lows, strides
+        index = [(x - lo) // g for x in xs]
     else:
-        (lo0, lo1), (g0, g1), span1 = lows, strides, spans[1]
-        index = [(x - lo0) // g0 * span1 + (y - lo1) // g1 for x, y in terms]
+        (xs, ys), (lo0, lo1), (g0, g1), span1 = cols, lows, strides, spans[1]
+        index = [(x - lo0) // g0 * span1 + (y - lo1) // g1 for x, y in zip(xs, ys)]
     n = max(index) + 1
     fmt = f"0{h}x"
     pos = ["0" * h] * n
     neg = pos.copy()
-    for i, c in zip(index, terms.values()):
+    for i, c in zip(index, coeffs):
         if c > 0:
             pos[n - 1 - i] = format(c, fmt)
         else:

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from conftest import CTX_QP
-from torkit import EvenIndexUnsupported, FamilySpec, InvalidTorusIndex, LaurentPoly, jones_number, parse, to_json_obj
+from torkit import EvenIndexUnsupported, FamilySpec, InvalidTorusIndex, LaurentPoly, TorkitError, jones_number, parse, to_json_obj
 from torkit import cli, families, skein
 from torkit.cli import _corrupted_registry, main, run_verification
 from torkit.skein import odd_index
@@ -321,6 +321,28 @@ class TestVerify:
         for report in failing:
             assert report.failure.count("counterexample") == 1
             assert report.format_line() == f"FAIL {report.name}: {report.failure}"
+
+    def test_an_input_that_fails_to_build_fails_each_of_its_readers(self, monkeypatch):
+        """A builder that raises is caught by the guard of every check that
+        reads its input; functools.cache keeps no exception, so each reader
+        tries the build again."""
+        attempts = []
+        value = FamilySpec.value
+
+        def failing_value(spec, n):
+            if spec.name != "jones":
+                return value(spec, n)
+            attempts.append(n)
+            raise TorkitError(f"cannot build T({n},2)")
+
+        monkeypatch.setattr(FamilySpec, "value", failing_value)
+        reports = run_verification(5)
+        assert len(reports) == 24
+        assert [r.format_line() for r in reports if not r.passed] == [
+            "FAIL closed-form-vs-recurrence[jones]: TorkitError: cannot build T(1,2)",
+            "FAIL substitute[generalized-alexander->jones]: TorkitError: cannot build T(1,2)",
+        ]
+        assert attempts == [1, 1]
 
     def test_even_bound_is_usage_error(self, capsys):
         rc, _, err = run(capsys, "verify", "--n-max", "8")

@@ -98,7 +98,8 @@ class TestSubstitutionsAtTheComposedPoint:
 
 
 # Large enough for the Kronecker multiply, in one variable, in two on the
-# sheared (antidiagonal) box, and in two on the plain box.
+# antidiagonal bands of the generalized Alexander values, and in two on
+# HOMFLY's box, where the (x0, x1) and (x0, x0 + x1) numberings tie.
 PRODUCTS = [
     ("alexander", 2001, "jones", 1999),
     ("generalized-alexander", 2001, "generalized-alexander", 1999),
