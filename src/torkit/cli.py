@@ -245,7 +245,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The torkit parser, built on the first call and shared by every later one.
+
+    Sharing is safe because the parser holds only objects made at import: the
+    cmd_* functions, decimal_int, FAMILY_NAMES and the keys of _NUMBER_KINDS.
+    Each cmd_* looks up FAMILIES, _CONVERSIONS, run_verification, to_json and
+    OutputRecord.render when it runs, so wrappers set on those after the first
+    call (tracers, monkeypatches) still take effect.  argparse writes help,
+    usage and errors to whatever sys.stdout and sys.stderr are when it
+    writes, so redirect_stdout and capsys still capture them.
+    """
     parser = argparse.ArgumentParser(
         prog="torkit",
         description="Exact polynomial invariants of T(n,2) torus knots from q- and (q,p)-numbers.",

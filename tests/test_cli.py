@@ -6,6 +6,7 @@ Exit code contract: 0 on success, 1 when a verification check fails,
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import shutil
@@ -444,6 +445,61 @@ class TestVerify:
         assert all(report.passed for report in run_verification(21))
         assert len(values) == 4 * 11 and len(sequences) == 4
         assert alive == {"q-number-recurrence": (0, 4), "k-roundtrip": (0, 0)}
+
+
+class TestSharedParser:
+    """main builds its parser once per process and reuses it on every call."""
+
+    def test_later_calls_build_no_parser(self, monkeypatch, capsys):
+        main(["qnum", "--n", "2"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        main(["compute", "--family", "jones", "--n", "3"])
+        main(["table", "--family", "alexander", "--n-max", "5", "--format", "json"])
+        capsys.readouterr()
+        assert built == []
+        assert cli.build_parser() is cli.build_parser()
+
+    # Each call may leave state behind for the next: an option set once
+    # (--corrupt-family, --format, --kind) must read as its default again.
+    SEQUENCE = (
+        (("compute", "--family", "nope"), 2),
+        (("compute", "--family", "jones", "--n", "4"), 2),
+        (("verify", "--n-max", "5", "--corrupt-family", "jones"), 1),
+        (("verify", "--n-max", "5"), 0),
+        (("table", "--family", "jones", "--n-max", "5", "--format", "json"), 0),
+        (("table", "--family", "jones", "--n-max", "5"), 0),
+        (("qnum", "--kind", "jones", "--n", "3"), 0),
+        (("qnum", "--n", "3"), 0),
+        (("compute", "--help"), 0),
+        (("compute", "--help"), 0),
+    )
+
+    def test_calls_in_one_process_match_fresh_processes(self, monkeypatch, capsys):
+        # argparse wraps help and usage text to the terminal width.
+        monkeypatch.setenv("COLUMNS", "80")
+        outcomes = []
+        for argv, code in self.SEQUENCE:
+            try:
+                rc = main(list(argv))
+            except SystemExit as exc:
+                rc = exc.code
+            captured = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "torkit", *argv], capture_output=True)
+            shared = (rc, captured.out.encode(), captured.err.encode())
+            assert shared == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+            assert rc == code, argv
+            outcomes.append(shared)
+        assert outcomes[3][1].endswith(b"\n24/24 checks passed\n")
+        assert outcomes[5][1].startswith(b"1\t1\n3\t")
+        assert outcomes[7][1] == b"q^2 + 1 + q^(-2)\n"
+        assert outcomes[8] == outcomes[9] and outcomes[8][1].startswith(b"usage: torkit compute")
 
 
 class TestSubprocess:
