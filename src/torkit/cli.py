@@ -62,7 +62,7 @@ class OutputRecord:
     family: str
     n: int
     polynomial: LaurentPoly
-    representation: str = "text"
+    representation: str
 
     def render(self) -> str:
         if self.representation == "json":
@@ -175,10 +175,7 @@ def run_verification(
     def roundtrip(name: str, family: str) -> CheckReport:
         k = l_to_k(reg[family].skein)
         again = l_to_k(k_to_l(k))
-        failure = ""
-        if again.k1 != k.k1 or again.k2 != k.k2:
-            failure = counterexample(0, f"({again.k1}, {again.k2})", f"({k.k1}, {k.k2})")
-        return CheckReport(name, 1, failure)
+        return compare(name, [(0, f"({again.k1}, {again.k2})", f"({k.k1}, {k.k2})")])
 
     def skein_form(name: str, family: str) -> CheckReport:
         seq = full(family)
@@ -313,7 +310,3 @@ def main(argv: Optional[list[str]] = None) -> int:
     except TorkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

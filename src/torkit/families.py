@@ -47,7 +47,6 @@ from typing import Callable, Iterator, Optional
 
 from .laurent import LaurentPoly, Substitution, VarContext, parse
 from .qnumbers import QP_CTX, T_CTX, jones_number, q_number, qp_number
-from .skein import EvenIndexUnsupported  # noqa: F401  (re-exported)
 from .skein import (
     KnotStepPair,
     SkeinPair,

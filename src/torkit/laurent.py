@@ -9,6 +9,8 @@ used to normalize the sign of exact square roots.
 
 Polynomials are immutable after construction and every operation is a pure
 function of its inputs, so polynomials can be shared freely across threads.
+A compiled Substitution keeps the powers of its values that it builds, so
+later calls reuse them; that table is its only state.
 """
 
 from __future__ import annotations
@@ -276,7 +278,8 @@ class LaurentPoly:
         """
         if not isinstance(assignments, Substitution):
             assignments = Substitution(self._context, target, assignments)
-        assignments._require_units()
+        if assignments._not_units:
+            raise ValueError(assignments._not_units)
         return assignments._apply(self, target)
 
     def substitute_poly(self, target: VarContext, assignments: Assignments) -> LaurentPoly:
@@ -480,17 +483,6 @@ def _pack(cols: list, coeffs: Iterable, lows: list, strides: list, spans: list, 
     return int("".join(pos), 16) - int("".join(neg), 16)
 
 
-def _schoolbook_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """The plain pairwise product through the validating constructor: the
-    oracle every fast path of __mul__ is tested against."""
-    out: dict = {}
-    for ea, ca in f._terms.items():
-        for eb, cb in g._terms.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, 0) + ca * cb
-    return LaurentPoly(f.context, out)
-
-
 def _render_varpow(name: str, quarters: int) -> str:
     if quarters == 4:
         return name
@@ -511,16 +503,18 @@ class Substitution:
     A variable assigned a single +/-1 term (a "mono" plan) takes any exponent;
     one assigned anything else (a "poly" plan) takes whole exponents >= 0,
     and each power of it is built once and kept, finished, for the object's life.
-    substitute_monomial takes mono plans only.  A mapping passed instead is
-    compiled to one of these first, so both forms raise the same errors.
+    substitute_monomial takes mono plans only, and raises the ValueError kept
+    for the first poly plan.  A mapping passed instead is compiled to one of
+    these first, so both forms raise the same errors.
     """
 
-    __slots__ = ("source", "target", "_plans")
+    __slots__ = ("source", "target", "_plans", "_not_units")
 
     def __init__(self, source: VarContext, target: VarContext, assignments: Mapping[str, object]):
         self.source, self.target = source, target
         # Per variable (name, sign, shifts, powers); a mono plan has powers None.
         self._plans = []
+        self._not_units = ""
         for name in source:
             if name not in assignments:
                 raise MissingAssignment(f"no assignment for variable {name!r}")
@@ -538,18 +532,13 @@ class Substitution:
                 self._plans.append((name, sign, tuple((j, q) for j, q in enumerate(key) if q), None))
             else:
                 self._plans.append((name, None, None, {1: value, 2: value * value}))
+                if not self._not_units:
+                    self._not_units = f"assignment for {name!r} " + (
+                        f"must have coefficient +1 or -1, got {_decimal(sign)}" if sign else "must be a single monomial"
+                    )
         for name in assignments:
             if name not in source:
                 raise UnknownVariable(f"assignment for {name!r}, which is not in {source.names}")
-
-    def _require_units(self) -> None:
-        """Raise ValueError unless every variable has a mono plan."""
-        for name, _, _, powers in self._plans:
-            if powers is not None:
-                who, coeffs = f"assignment for {name!r}", list(powers[1]._terms.values())
-                if len(coeffs) != 1:
-                    raise ValueError(f"{who} must be a single monomial")
-                raise ValueError(f"{who} must have coefficient +1 or -1, got {_decimal(coeffs[0])}")
 
     def _apply(self, f: LaurentPoly, target: VarContext) -> LaurentPoly:
         """f with each term's mono shifts applied and its poly powers scaled into one sum."""
@@ -852,7 +841,7 @@ def from_json_obj(obj: dict) -> LaurentPoly:
     """Decode the to_json_obj form strictly: vars a list of names,
     exp_denominator the integer 4, terms a list of objects whose exponents are
     JSON integers, one per variable, and whose coefficients are decimal
-    strings; anything else is a ValueError."""
+    strings, and no other keys; anything else is a ValueError."""
     if not isinstance(obj, dict):
         raise ValueError("a polynomial is a JSON object")
     names, entries, den = obj.get("vars"), obj.get("terms"), obj.get("exp_denominator")
@@ -862,6 +851,8 @@ def from_json_obj(obj: dict) -> LaurentPoly:
         raise ValueError(f"vars must be a list of variable names, got {_shown(names)}")
     if not isinstance(entries, list):
         raise ValueError("terms must be a list of objects")
+    if len(obj) != 3:
+        raise ValueError(f"unknown key {_other_key(obj, 'vars', 'exp_denominator', 'terms')} in a polynomial")
     context = VarContext(tuple(names))
     terms: dict = {}
     for entry in entries:
@@ -872,7 +863,14 @@ def from_json_obj(obj: dict) -> LaurentPoly:
             raise ValueError(f"exp must be {len(names)} integer quarter counts, got {_shown(exps)}")
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + decimal_int(entry.get("coeff"))
+        if len(entry) != 2:
+            raise ValueError(f"unknown key {_other_key(entry, 'exp', 'coeff')} in a term")
     return LaurentPoly._make(context, {k: v for k, v in terms.items() if v})
+
+
+def _other_key(obj: dict, *keys: str) -> str:
+    """The first key of obj that is not one of keys, as _shown prints it."""
+    return _shown(next(key for key in obj if key not in keys))
 
 
 def to_json(f: LaurentPoly) -> str:
@@ -911,10 +909,15 @@ def from_json(text: str) -> LaurentPoly:
     # The default int parser stays in C; only an integer past the int/str
     # digit limit, which it refuses, makes the decode fall back to
     # _digits_int, called once per integer.
+    # The C decoder recurses once per level of nesting, so a deep enough
+    # array or object raises RecursionError, reported here as bad input.
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError:
-        raise
-    except ValueError:
-        obj = json.loads(text, parse_int=_digits_int)
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:
+            obj = json.loads(text, parse_int=_digits_int)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to decode") from None
     return from_json_obj(obj)

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from conftest import CTX_QP
-from torkit import EvenIndexUnsupported, FamilySpec, InvalidTorusIndex, LaurentPoly, TorkitError, jones_number, parse, to_json_obj
+from torkit import EvenIndexUnsupported, FamilySpec, InvalidTorusIndex, LaurentPoly, NotAPerfectSquare, TorkitError, jones_number, parse, to_json_obj
 from torkit import cli, families, skein
 from torkit.cli import _corrupted_registry, main, run_verification
 from torkit.skein import odd_index
@@ -76,6 +76,14 @@ class TestCompute:
         rc, _, err = run(capsys, "compute", "--family", "jones", "--n", "-3")
         assert rc == 2
         assert err
+
+    def test_other_library_errors_exit_1_with_one_error_line(self, capsys, monkeypatch):
+        def value(spec, n):
+            raise NotAPerfectSquare("leading coefficient is negative")
+
+        monkeypatch.setattr(FamilySpec, "value", value)
+        rc, out, err = run(capsys, "compute", "--family", "jones", "--n", "3")
+        assert (rc, out, err) == (1, "", "error: leading coefficient is negative\n")
 
 
 class TestTable:

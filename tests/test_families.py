@@ -29,9 +29,11 @@ from torkit import (
     homfly_torus,
     jones_torus,
     parse,
+    q_number,
     to_alexander,
     to_jones,
 )
+from torkit.families import _build_family
 
 FROZEN = {
     "alexander": {
@@ -188,6 +190,12 @@ class TestSkeinData:
 
     def test_generalized_family_has_no_hopf_value(self):
         assert GENERALIZED_ALEXANDER.hopf is None
+
+    def test_c_plus_must_invert_exactly(self):
+        # Only a single +/-1 term has a Laurent-polynomial inverse.
+        with pytest.raises(ValueError) as info:
+            _build_family("doubled", CTX_T, "2*t", "-1", "t - 1", q_number)
+        assert str(info.value) == "only +/-1 terms invert exactly"
 
 
 class TestSubstitutions:

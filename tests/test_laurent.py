@@ -120,6 +120,8 @@ class TestArithmetic:
         assert f + 1 == P("q + 1")
         assert 2 - f == P("2 - q")
         assert 3 * f == P("3*q")
+        assert f - f + 5 == 5
+        assert f != 1
 
     def test_pow(self):
         z = P("q^(1/4)*p^(-1/4) - q^(-1/4)*p^(1/4)")
@@ -161,6 +163,25 @@ class TestConstructor:
     def test_bool_coefficient_rejected(self):
         with pytest.raises(TypeError):
             LaurentPoly(CTX_T, {(4,): True})
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: LaurentPoly(("t",), {}), TypeError, "context must be a VarContext"),
+            (lambda: parse("t", ("t",)), TypeError, "context must be a VarContext"),
+            (lambda: LaurentPoly(CTX_T, {(4, 0): 1}), ValueError, "exponent tuple (4, 0) does not match context arity 1"),
+        ],
+        ids=["constructor-context", "parse-context", "arity"],
+    )
+    def test_context_and_arity_checked(self, build, error, message):
+        with pytest.raises(error) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_truth_and_repr(self):
+        assert not LaurentPoly.zero(CTX_QP)
+        assert P("q")
+        assert repr(P("q^(1/2) - 2*p")) == "LaurentPoly(('q', 'p'), 'q^(1/2) - 2*p')"
 
     def test_bool_operand_rejected(self):
         f = P("t + 1", CTX_T)
@@ -771,6 +792,43 @@ class TestJson:
         with pytest.raises(json.JSONDecodeError) as expected:
             json.loads(text, parse_int=_digits_int)
         assert str(info.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                '{"vars":["t"],"exp_denominator":4,"terms":[{"exp":[4],"coeff":"1"}],"extra":true}',
+                "unknown key 'extra' in a polynomial",
+            ),
+            (
+                '{"vars":["t"],"exp_denominator":4,"terms":[{"exp":[4],"coeff":"1","junk":1}]}',
+                "unknown key 'junk' in a term",
+            ),
+            (
+                '{"vars":["t"],"exp_denominator":4,"terms":[{"' + "k" * 100 + '":1,"exp":[4],"coeff":"1"}]}',
+                f"unknown key {repr('k' * 100)[:80]}... (102 characters) in a term",
+            ),
+        ],
+        ids=["top-level", "term", "long-key"],
+    )
+    def test_unknown_keys_rejected(self, text, message):
+        with pytest.raises(ValueError) as info:
+            from_json(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100_000 + "]" * 100_000,
+            '{"a":' * 100_000 + "1" + "}" * 100_000,
+            "[1" + "0" * 5000 + "," + "[" * 100_000 + "]" * 100_001,
+        ],
+        ids=["arrays", "objects", "long-int-then-arrays"],
+    )
+    def test_deep_nesting_is_a_value_error(self, text):
+        with pytest.raises(ValueError) as info:
+            from_json(text)
+        assert str(info.value) == "JSON nested too deeply to decode"
 
     def test_duplicates_merge_and_zeros_drop(self):
         obj = to_json_obj(P("q - p"))

@@ -22,6 +22,7 @@ from conftest import (
     polys,
     shaped_pairs,
 )
+from test_multiply import schoolbook_mul
 from torkit import (
     LaurentPoly,
     Substitution,
@@ -36,7 +37,7 @@ from torkit import (
     to_json_obj,
     uv_number,
 )
-from torkit.laurent import _BIG, _schoolbook_mul
+from torkit.laurent import _BIG
 
 
 @given(polys(), polys(), polys())
@@ -177,8 +178,8 @@ def naive_substitute(f: LaurentPoly, target, assignments: dict) -> LaurentPoly:
                 assert e >= 0 and e % 4 == 0
                 factor = LaurentPoly.one(target)
                 for _ in range(e // 4):
-                    factor = _schoolbook_mul(factor, g)
-            piece = _schoolbook_mul(piece, factor)
+                    factor = schoolbook_mul(factor, g)
+            piece = schoolbook_mul(piece, factor)
         for key, c in piece.terms.items():
             total[key] = total.get(key, 0) + c
     return LaurentPoly(target, total)

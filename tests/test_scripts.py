@@ -5,7 +5,8 @@ The scripts read their integer options as the CLI does: integers follow the
 CLI's decimal rule, indices go through skein.odd_index, and a bad value exits
 2 with one `error:` line and nothing on stdout.  The `## Library` block runs
 as written and prints what its comments say.  `torkit.__all__` names exactly
-the public names the package binds, apart from its submodules.
+the public names the package binds, apart from its submodules.  Every
+Python file of the repository compiles with warnings as errors.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import ModuleType
 
@@ -80,3 +82,16 @@ def test_export_list_is_what_the_package_binds():
     namespace: dict = {}
     exec("from torkit import *", namespace)
     assert set(torkit.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("folder", ["src", "scripts", "tests", "perfbench"])
+def test_sources_compile_with_warnings_as_errors(folder):
+    # An invalid escape such as "\d" in a non-raw string warns when it is
+    # compiled (DeprecationWarning before 3.12, SyntaxWarning after), and
+    # no test imports scripts/ or perfbench/.  compile() writes no .pyc.
+    paths = sorted((ROOT / folder).rglob("*.py"))
+    assert paths
+    for path in paths:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            compile(path.read_bytes(), str(path), "exec")
