@@ -1,9 +1,11 @@
 """Command-line interface: compute, table, verify, convert, qnum.
 
-Exit codes: 0 on success (and when every verification check passes), 1 when
-any verification check fails, 2 on usage errors such as an even torus index
-or an unsupported conversion.  JSON output embeds polynomials in the exact
-interchange form of the laurent module, one record per line in table mode.
+Exit codes: 0 on success (and when every verification check passes); 1 when
+any verification check fails, or when another library error such as
+NotAPerfectSquare ends the command with one `error:` line; 2 on usage errors
+such as an even torus index or an unsupported conversion.  JSON output embeds
+polynomials in the exact interchange form of the laurent module, one record
+per line in table mode.
 """
 
 from __future__ import annotations

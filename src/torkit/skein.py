@@ -41,7 +41,12 @@ class InvalidTorusIndex(TorkitError, ValueError):
 
 
 class EvenIndexUnsupported(InvalidTorusIndex):
-    """T(n,2) with even n is a link, whose n=2 base value no family supplies."""
+    """T(n,2) with even n is a link, which the knot step never visits.
+
+    alexander, jones and homfly supply a Hopf (n=2) value for
+    gen_full_sequence, but the generalized family has no Laurent-polynomial
+    n=2 value consistent with its recurrence.
+    """
 
 
 def odd_index(n: int) -> int:

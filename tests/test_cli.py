@@ -1,7 +1,8 @@
 """End-to-end tests for the torkit command line interface.
 
-Exit code contract: 0 on success, 1 when a verification check fails,
-2 on usage errors (including even torus indices).
+Exit code contract: 0 on success, 1 when a verification check fails or
+another library error ends the command, 2 on usage errors (including even
+torus indices).
 """
 
 from __future__ import annotations
@@ -96,6 +97,13 @@ class TestTable:
             "3\tt - 1 + t^(-1)",
             "5\tt^2 - t + 1 - t^(-1) + t^(-2)",
         ]
+
+    @pytest.mark.parametrize("family", list(families.FAMILIES))
+    def test_rows_match_the_closed_form(self, capsys, family):
+        rc, out, _ = run(capsys, "table", "--family", family, "--n-max", "9")
+        assert rc == 0
+        spec = families.FAMILIES[family]
+        assert out.splitlines() == [f"{n}\t{spec.value(n)}" for n in range(1, 10, 2)]
 
     def test_json_rows_are_newline_delimited_records(self, capsys):
         rc, out, _ = run(

@@ -1,12 +1,12 @@
-"""The README's demo scripts, its library example, and the export list they
+"""The README's demo script, its library example, and the export list they
 import from.
 
-The scripts read their integer options as the CLI does: integers follow the
-CLI's decimal rule, indices go through skein.odd_index, and a bad value exits
-2 with one `error:` line and nothing on stdout.  The `## Library` block runs
-as written and prints what its comments say.  `torkit.__all__` names exactly
-the public names the package binds, apart from its submodules.  Every
-Python file of the repository compiles with warnings as errors.
+The walkthrough takes no options and walks every family in registry order:
+HOMFLY stops at the two-parameter split, and every other family's closed form
+agrees with its recurrence.  The `## Library` block runs as written and
+prints what its comments say.  `torkit.__all__` names exactly the public
+names the package binds, apart from its submodules.  Every Python file of
+the repository compiles with warnings as errors.
 """
 
 from __future__ import annotations
@@ -22,42 +22,26 @@ from types import ModuleType
 import pytest
 
 import torkit
+from torkit import FAMILIES
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *argv):
+def run_script(name):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *argv], capture_output=True, text=True, env=env
+        [sys.executable, str(ROOT / "scripts" / name)], capture_output=True, text=True, env=env
     )
 
 
-@pytest.mark.parametrize(
-    "name, argv, message",
-    [
-        ("invariant_tables.py", ["--n-max", "١"], "invalid decimal_int value"),
-        ("invariant_tables.py", ["--n-max", "0"], "error: torus index must be a positive integer, got 0"),
-        ("invariant_tables.py", ["--n-max", "4"], "error: T(4,2) is a two-component link"),
-        ("three_step_walkthrough.py", ["--n-max", "٣"], "invalid decimal_int value"),
-        ("three_step_walkthrough.py", ["--check-to", "+21"], "invalid decimal_int value"),
-        ("three_step_walkthrough.py", ["--n-max", "-1"], "error: torus index must be a positive integer, got -1"),
-        ("three_step_walkthrough.py", ["--n-max", "1"], "error: --n-max must be at least 3, got 1"),
-        ("three_step_walkthrough.py", ["--check-to", "4"], "error: T(4,2) is a two-component link"),
-    ],
-)
-def test_bad_integers_exit_2_with_one_error_line(name, argv, message):
-    proc = run_script(name, *argv)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
-    assert len(errors) == 1 and message in errors[0], proc.stderr
-
-
-def test_tables_accept_a_decimal_index():
-    proc = run_script("invariant_tables.py", "--n-max", "3", "--family", "jones")
+def test_walkthrough_reaches_each_familys_last_stage():
+    proc = run_script("three_step_walkthrough.py")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "== jones ==\n  T(1,2): 1\n  T(3,2): -t^4 + t^3 + t\n\n"
+    sections = re.split(r"^family: ", proc.stdout, flags=re.M)[1:]
+    assert [section.split()[0] for section in sections] == list(FAMILIES)
+    for name, section in zip(FAMILIES, sections):
+        expected = "not available for this family" if name == "homfly" else "all cross-checks agree"
+        assert expected in section, section
 
 
 def test_readme_library_block_runs_and_prints_its_comments():
