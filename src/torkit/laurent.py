@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, prod
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -628,6 +629,14 @@ def exact_sqrt(f: LaurentPoly) -> LaurentPoly:
     A second bound caps the root: on the unit torus Parseval and Cauchy-Schwarz
     give sum g_i^2 <= ||f||_2, so each step spends its coefficient's square
     from isqrt(sum c^2), and the step count is the smaller of the two bounds.
+
+    Each step takes the leading remainder term from a max-heap frontier, not
+    from a scan of the remainder.  Keys only fall: the step at r = g_lead + t
+    changes only the keys g_k + t (g_k <= g_lead) and 2t, cancels r itself
+    and creates nothing at or above r.  So a popped key that is no longer in
+    the remainder is stale for good and is skipped, and since every key is
+    pushed when a step creates it, the top live key of the heap is the
+    remainder's greatest: the steps are those of the scan, in its order.
     """
     if f.is_zero():
         return f
@@ -642,8 +651,8 @@ def exact_sqrt(f: LaurentPoly) -> LaurentPoly:
     if any(q % 2 for q in lead):
         raise NotAPerfectSquare("leading exponent is not twice a quarter count")
     box = [(min(col), max(col)) for col in zip(*terms)]
-    g_lead = tuple(q // 2 for q in lead)
-    g_terms = {g_lead: root}
+    (lo0, hi0), (lo1, hi1) = box[0], box[-1]
+    g0, g1 = lead[0] // 2, lead[-1] // 2
     twice = 2 * root
     budget = isqrt(sum(c * c for c in terms.values())) - lc
 
@@ -651,24 +660,30 @@ def exact_sqrt(f: LaurentPoly) -> LaurentPoly:
     # which add and compare several times faster than tuples: x0*w + x1, with
     # w wider than the box's second side, is linear and keeps lex order on
     # the box.  In one variable w = 0 and the key is x0.
-    lo1, hi1 = box[-1]
-    w = hi1 - lo1 + 1 if len(box) == 2 else 0
+    w = hi1 - lo1 + 1 if len(lead) == 2 else 0
     remainder = {x[0] * w + x[-1]: c for x, c in terms.items()}
-    half = g_lead[0] * w + g_lead[-1]
+    half = g0 * w + g1
     del remainder[2 * half]
-    g_packed = [(half, root)]
+    # The remainder's leading term r = g_lead + t gives the root term t, and
+    # t lies in half the box exactly when lo + lead <= 2 * r <= hi + lead.
+    min0, max0 = lo0 + lead[0], hi0 + lead[0]
+    min1, max1 = lo1 + lead[-1], hi1 + lead[-1]
+    frontier = [-k for k in remainder]
+    heapify(frontier)
+    doubled = [(half, twice)]  # the root's terms with twice their coefficients
     get = remainder.get
 
     while remainder:
-        rk = max(remainder)
-        rc = remainder[rk]
+        rk = -heappop(frontier)
+        rc = get(rk)
+        if rc is None:
+            continue
         if w:
             x0 = (rk - lo1) // w
-            rx = (x0, rk - x0 * w)
+            x1 = rk - x0 * w
         else:
-            rx = (rk,)
-        t_exps = tuple(a - b for a, b in zip(rx, g_lead))
-        if not all(lo <= 2 * t <= hi for t, (lo, hi) in zip(t_exps, box)):
+            x0 = x1 = rk
+        if not (min0 <= 2 * x0 <= max0 and min1 <= 2 * x1 <= max1):
             raise NotAPerfectSquare("a root term would lie outside half the exponent box")
         if rc % twice:
             raise NotAPerfectSquare("remainder coefficient not divisible by twice the leading root")
@@ -677,23 +692,29 @@ def exact_sqrt(f: LaurentPoly) -> LaurentPoly:
         if budget < 0:
             raise NotAPerfectSquare("root coefficients would pass the norm bound isqrt(sum c^2)")
         t_key = rk - half
-        # remainder -= 2 * g * t + t^2, with g not yet containing t
-        step = 2 * t_coeff
-        for gk, gc in g_packed:
+        # remainder -= (2g + t) * t, with g not yet containing t
+        doubled.append((t_key, t_coeff))
+        for gk, gc in doubled:
             key = gk + t_key
-            left = get(key, 0) - gc * step
-            if left:
-                remainder[key] = left
+            old = get(key)
+            if old is None:
+                remainder[key] = -gc * t_coeff
+                heappush(frontier, -key)
             else:
-                del remainder[key]
-        key = 2 * t_key
-        left = get(key, 0) - t_coeff * t_coeff
-        if left:
-            remainder[key] = left
-        else:
-            del remainder[key]
-        g_packed.append((t_key, t_coeff))
-        g_terms[t_exps] = t_coeff
+                left = old - gc * t_coeff
+                if left:
+                    remainder[key] = left
+                else:
+                    del remainder[key]
+        doubled[-1] = (t_key, 2 * t_coeff)
+    # g_lead + t lies in f's box, where its key decodes uniquely.
+    if w:
+        g_terms = {}
+        for t_key, c in doubled:
+            x0 = (t_key + half - lo1) // w
+            g_terms[(x0 - g0, t_key + half - x0 * w - g1)] = c // 2
+    else:
+        g_terms = {(t_key,): c // 2 for t_key, c in doubled}
     return LaurentPoly._make(f.context, g_terms)
 
 

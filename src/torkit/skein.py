@@ -58,8 +58,8 @@ def odd_index(n: int) -> int:
         raise InvalidTorusIndex(f"torus index must be a positive integer, got {n!r}")
     if n % 2 == 0:
         raise EvenIndexUnsupported(
-            f"T({n},2) is a two-component link; no n=2 base value is defined, "
-            "so even indices need a caller-supplied gen_full_sequence"
+            f"T({n},2) is a two-component link; the knot step reaches odd n only, "
+            "so even n needs gen_full_sequence and an n=2 link value"
         )
     return (n - 1) // 2
 

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import CTX_AZ, CTX_Q, CTX_QP, CTX_T, leading_coefficient
 from torkit import (
+    FAMILIES,
     ContextMismatch,
     LaurentPoly,
     MissingAssignment,
@@ -26,6 +27,7 @@ from torkit import (
     exact_sqrt,
     from_json,
     from_json_obj,
+    homfly_torus,
     parse,
     to_json,
     to_json_obj,
@@ -425,6 +427,41 @@ class TestExactSqrt:
     def test_long_square(self):
         f = P("q^2 - q + 3 - p^(-1) + 5*q*p^3", CTX_QP)
         assert exact_sqrt(f * f) == f
+
+    @pytest.mark.parametrize(
+        "family, sign", [("alexander", 1), ("generalized-alexander", -1), ("jones", -1), ("homfly", -1)]
+    )
+    def test_root_of_a_square_at_the_benchmark_size(self, family, sign):
+        # Only the Alexander value leads with +1 at n = 301; the other three
+        # lead with -1, so their canonical-positive root is -p.
+        p = FAMILIES[family].value(301)
+        assert exact_sqrt(p * p) == sign * p
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_product_of_neighbouring_values_is_not_a_square(self, family):
+        spec = FAMILIES[family]
+        with pytest.raises(NotAPerfectSquare):
+            exact_sqrt(spec.value(301) * spec.value(303))
+
+    @pytest.mark.parametrize(
+        "square, root",
+        [
+            # No t^3: the second step creates it as 2 * t^2 * (2t), and the
+            # third step takes it from the frontier.
+            ("4*t^6 + 4*t^5 + 9*t^4 + 2*t^2 - 4*t + 1", "2*t^3 + t^2 + 2*t - 1"),
+            # No t^2: the first step creates it as the square of its own
+            # term 2t, and the second step takes it from the frontier.
+            ("t^4 + 4*t^3 - 8*t + 4", "t^2 + 2*t - 2"),
+        ],
+    )
+    def test_square_lacking_a_key_that_its_root_steps_create(self, square, root):
+        assert exact_sqrt(P(square, CTX_T)) == P(root, CTX_T)
+
+    def test_square_whose_steps_cancel_keys_ahead_of_them(self):
+        # 14 of the 44 keys the heap frontier hands out here were cancelled
+        # by a later step before their turn, and are skipped.
+        h = homfly_torus(31)
+        assert exact_sqrt(h * h) == -h
 
     def test_formal_root_leaving_the_box_rejected(self):
         # The formal root 1 + 2t^(-1) - 2t^(-2) + 4t^(-3) - ... has integer

@@ -1,15 +1,16 @@
 """Property tests for the polynomial core: ring axioms, canonical form,
-round trips, the square-root contract, and evaluation mod p as a ring map."""
+round trips, the square-root contract against its scanning oracle, and
+evaluation mod p as a ring map."""
 
 from __future__ import annotations
 
 import json
 import operator
-from math import gcd
+from math import gcd, isqrt
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import (
     CTX_AZ,
@@ -24,7 +25,9 @@ from conftest import (
 )
 from test_multiply import schoolbook_mul
 from torkit import (
+    FAMILIES,
     LaurentPoly,
+    NotAPerfectSquare,
     Substitution,
     VarContext,
     exact_sqrt,
@@ -37,7 +40,7 @@ from torkit import (
     to_json_obj,
     uv_number,
 )
-from torkit.laurent import _BIG
+from torkit.laurent import _BIG, _decimal
 
 
 @given(polys(), polys(), polys())
@@ -102,6 +105,92 @@ def test_sqrt_recovers_sparse_roots(g, scale):
     g = g * (scale + 1)
     root = exact_sqrt(g * g)
     assert root == g or root == -g
+
+
+def scan_sqrt(f: LaurentPoly) -> LaurentPoly:
+    """exact_sqrt's long division with each step's leading remainder term
+    found by a scan of the whole remainder, and its root built through the
+    validating constructor: the oracle the heap frontier is tested against.
+    Same stop proofs in the same order, with the same messages."""
+    if f.is_zero():
+        return f
+    terms = f.terms
+    lead = max(terms)
+    lc = terms[lead]
+    if lc < 0:
+        raise NotAPerfectSquare("leading coefficient is negative")
+    root = isqrt(lc)
+    if root * root != lc:
+        raise NotAPerfectSquare(f"leading coefficient {_decimal(lc)} is not a perfect square")
+    if any(q % 2 for q in lead):
+        raise NotAPerfectSquare("leading exponent is not twice a quarter count")
+    box = [(min(col), max(col)) for col in zip(*terms)]
+    g_lead = tuple(q // 2 for q in lead)
+    g_terms = {g_lead: root}
+    budget = isqrt(sum(c * c for c in terms.values())) - lc
+    remainder = dict(terms)
+    del remainder[lead]
+    while remainder:
+        rx = max(remainder)
+        t_exps = tuple(a - b for a, b in zip(rx, g_lead))
+        if not all(lo <= 2 * t <= hi for t, (lo, hi) in zip(t_exps, box)):
+            raise NotAPerfectSquare("a root term would lie outside half the exponent box")
+        if remainder[rx] % (2 * root):
+            raise NotAPerfectSquare("remainder coefficient not divisible by twice the leading root")
+        t_coeff = remainder[rx] // (2 * root)
+        budget -= t_coeff * t_coeff
+        if budget < 0:
+            raise NotAPerfectSquare("root coefficients would pass the norm bound isqrt(sum c^2)")
+        # remainder -= 2 * g * t + t^2, with g not yet containing t
+        updates = [
+            (tuple(a + b for a, b in zip(gx, t_exps)), 2 * gc * t_coeff) for gx, gc in g_terms.items()
+        ]
+        updates.append((tuple(2 * t for t in t_exps), t_coeff * t_coeff))
+        for key, c in updates:
+            left = remainder.get(key, 0) - c
+            if left:
+                remainder[key] = left
+            else:
+                del remainder[key]
+        g_terms[t_exps] = t_coeff
+    return LaurentPoly(f.context, g_terms)
+
+
+def sqrt_outcome(sqrt, f: LaurentPoly):
+    try:
+        return "root", sqrt(f).terms
+    except NotAPerfectSquare as error:
+        return "not a square", str(error)
+
+
+@st.composite
+def sqrt_arguments(draw):
+    """A square g*g, g*g plus one term, or the product of two different
+    torus values of one family.  g has one or two variables, coefficients
+    past one machine word, and exponents spread sparsely over +-50 powers or
+    densely over +-2, where g*g cancels keys that the root's steps recreate."""
+    kind = draw(st.sampled_from(("square", "square plus a term", "torus product")))
+    if kind == "torus product":
+        family = FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))]
+        odd = st.integers(0, 20).map(lambda m: 2 * m + 1)
+        n1, n2 = draw(st.lists(odd, min_size=2, max_size=2, unique=True))
+        return family.value(n1) * family.value(n2)
+    context = draw(st.sampled_from((CTX_T, CTX_QP)))
+    g = draw(nonzero_polys(context=context, max_terms=12, quarter_bound=draw(st.sampled_from((8, 200)))))
+    g = g * (draw(st.integers(0, 2 ** 64)) + 1)
+    f = g * g
+    if kind == "square plus a term":
+        exps = draw(st.tuples(*[st.integers(-400, 400)] * len(context)))
+        f = f + LaurentPoly(context, {exps: draw(st.integers(-(2 ** 70), 2 ** 70).filter(bool))})
+    return f
+
+
+@given(sqrt_arguments())
+@example(parse("1 + 4*t^(-1) + t^(-200)", CTX_T))  # stopped by the norm bound
+@example(parse("q^(1/4)*p^2", CTX_QP))  # odd quarter in the leading exponent
+@settings(max_examples=300, deadline=None)
+def test_sqrt_matches_the_scanning_oracle(f):
+    assert sqrt_outcome(exact_sqrt, f) == sqrt_outcome(scan_sqrt, f)
 
 
 def assert_canonical(f: LaurentPoly) -> None:

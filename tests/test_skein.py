@@ -33,6 +33,7 @@ from torkit import (
     solve_parameters,
     uv_number,
 )
+from torkit.skein import odd_index
 
 
 def sp(l1: str, l2: str, ctx=CTX_QP) -> SkeinPair:
@@ -126,6 +127,16 @@ class TestSequences:
     def test_odd_rejects_even_bound(self):
         with pytest.raises(ValueError):
             gen_odd_sequence(kp(*GEN_K), 4)
+
+    def test_even_index_message_names_the_full_sequence(self):
+        # True of every family: alexander, jones and homfly supply an n=2
+        # value (FamilySpec.hopf), and the generalized family has none.
+        with pytest.raises(EvenIndexUnsupported) as info:
+            odd_index(4)
+        assert str(info.value) == (
+            "T(4,2) is a two-component link; the knot step reaches odd n only, "
+            "so even n needs gen_full_sequence and an n=2 link value"
+        )
 
     def test_full_sequence_alexander(self):
         pair = sp(*ALEX_L, CTX_T)
