@@ -11,10 +11,9 @@ per line in table mode.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from typing import Callable, Optional
 
@@ -91,11 +90,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     seq = FAMILIES[args.family].sequence(args.n_max)
     for n, value in seq.items():
-        record = OutputRecord(args.family, n, value, args.format)
-        if args.format == "json":
-            print(record.render())
-        else:
-            print(f"{n}\t{record.render()}")
+        line = OutputRecord(args.family, n, value, args.format).render()
+        print(line if args.format == "json" else f"{n}\t{line}")
     return 0
 
 
@@ -149,7 +145,7 @@ def run_verification(
     def full(family: str) -> dict[int, LaurentPoly]:
         spec = reg[family]
         base2 = spec.hopf if spec.hopf is not None else spec.skein.l1
-        return gen_full_sequence(spec.skein, LaurentPoly.one(spec.context), base2, n_max)
+        return gen_full_sequence(spec.skein, base2, n_max)
 
     def agree(
         name: str,
@@ -230,7 +226,7 @@ def _corrupted_registry(family: str) -> dict[str, FamilySpec]:
     registry = dict(FAMILIES)
     spec = registry[family]
     broken = KnotStepPair(spec.knot_step.k1, -spec.knot_step.k2)
-    registry[family] = dataclasses.replace(spec, knot_step=broken)
+    registry[family] = replace(spec, knot_step=broken)
     return registry
 
 

@@ -108,10 +108,10 @@ def _build_family(
     # c_plus is a single +/-1 term in every family, so the division is an
     # exact term inverse (for jones, c_plus = t^(-1), this is the
     # multiply-through-by-t step).
-    ((key, sign),) = plus.terms.items()
+    ((key, sign),) = plus._terms.items()
     if sign not in (1, -1):
         raise ValueError("only +/-1 terms invert exactly")
-    inv = LaurentPoly(context, {tuple(-q for q in key): sign})
+    inv = LaurentPoly._make(context, {tuple(-q for q in key): sign})
     pair = SkeinPair(zero * inv, -(minus * inv))
     knot_step = l_to_k(pair)
     k2 = knot_step.k2

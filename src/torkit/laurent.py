@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, prod
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 
 class TorkitError(Exception):
@@ -87,12 +87,6 @@ class VarContext:
 
     def __len__(self) -> int:
         return len(self.names)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.names
 
 
 PolyLike = Union["LaurentPoly", int]
@@ -516,7 +510,7 @@ class Substitution:
         # Per variable (name, sign, shifts, powers); a mono plan has powers None.
         self._plans = []
         self._not_units = ""
-        for name in source:
+        for name in source.names:
             if name not in assignments:
                 raise MissingAssignment(f"no assignment for variable {name!r}")
             value = assignments[name]
@@ -538,7 +532,7 @@ class Substitution:
                         f"must have coefficient +1 or -1, got {_decimal(sign)}" if sign else "must be a single monomial"
                     )
         for name in assignments:
-            if name not in source:
+            if name not in source.names:
                 raise UnknownVariable(f"assignment for {name!r}, which is not in {source.names}")
 
     def _apply(self, f: LaurentPoly, target: VarContext) -> LaurentPoly:

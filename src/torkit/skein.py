@@ -152,21 +152,19 @@ def gen_odd_sequence(pair: KnotStepPair, n_max: int) -> dict[int, LaurentPoly]:
     return dict(zip(range(1, n_max + 1, 2), steps))
 
 
-def gen_full_sequence(
-    pair: SkeinPair, base1: LaurentPoly, base2: LaurentPoly, n_max: int
-) -> dict[int, LaurentPoly]:
-    """All values for 1 <= n <= n_max from caller-supplied bases.
+def gen_full_sequence(pair: SkeinPair, base2: LaurentPoly, n_max: int) -> dict[int, LaurentPoly]:
+    """All values for 1 <= n <= n_max from the bases P(1) = 1 and P(2) = base2.
 
-    base1 is the n=1 value (normally 1); base2 is the n=2 torus-link value,
-    which the knot-only machinery never determines, so the caller owns it.
-    With base1 = 1, the odd entries equal gen_odd_sequence(l_to_k(pair), ...)
-    exactly when l1*base2 = l1^2 + l2 - l2^2, the n=3 consistency condition.
+    base2 is the n=2 torus-link value, which the knot-only machinery never
+    determines, so the caller owns it.  The odd entries equal
+    gen_odd_sequence(l_to_k(pair), ...) exactly when
+    l1*base2 = l1^2 + l2 - l2^2, the n=3 consistency condition.
     """
     if type(n_max) is not int or n_max < 1:
         raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
-    _require_same_context(base1, pair.l1, "bases and pair")
-    _require_same_context(base2, pair.l1, "bases and pair")
-    return dict(zip(range(1, n_max + 1), _steps(pair.l1, pair.l2, base1, base2)))
+    _require_same_context(base2, pair.l1, "base2 and pair")
+    steps = _steps(pair.l1, pair.l2, LaurentPoly.one(pair.context), base2)
+    return dict(zip(range(1, n_max + 1), steps))
 
 
 def solve_parameters(pair: KnotStepPair) -> tuple[LaurentPoly, LaurentPoly]:

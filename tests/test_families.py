@@ -179,12 +179,10 @@ class TestSkeinData:
         # c_plus P(n) + c_minus P(n-2) = c_zero P(n-1) along each family's
         # two-base sequence, using the Hopf value where one exists
         for spec in (ALEXANDER, JONES, HOMFLY):
-            from torkit import gen_full_sequence, LaurentPoly
+            from torkit import gen_full_sequence
 
             c_plus, c_minus, c_zero = spec.skein_form
-            seq = gen_full_sequence(
-                spec.skein, LaurentPoly.one(spec.context), spec.hopf, 9
-            )
+            seq = gen_full_sequence(spec.skein, spec.hopf, 9)
             for n in range(3, 10):
                 assert c_plus * seq[n] + c_minus * seq[n - 2] == c_zero * seq[n - 1]
 

@@ -256,7 +256,7 @@ def naive_substitute(f: LaurentPoly, target, assignments: dict) -> LaurentPoly:
     total: dict = {}
     for exps, coeff in f.terms.items():
         piece = LaurentPoly.constant(target, coeff)
-        for name, e in zip(f.context, exps):
+        for name, e in zip(f.context.names, exps):
             g = assignments[name]
             if g.num_terms == 1 and abs(leading_coefficient(g)) == 1:
                 (key, sign), = g.terms.items()

@@ -140,9 +140,8 @@ class TestSequences:
 
     def test_full_sequence_alexander(self):
         pair = sp(*ALEX_L, CTX_T)
-        one = LaurentPoly.one(CTX_T)
         hopf = parse("t^(1/2) - t^(-1/2)", CTX_T)
-        seq = gen_full_sequence(pair, one, hopf, 5)
+        seq = gen_full_sequence(pair, hopf, 5)
         assert seq[3] == parse("t - 1 + t^(-1)", CTX_T)
         assert seq[5] == parse("t^2 - t + 1 - t^(-1) + t^(-2)", CTX_T)
 
@@ -151,7 +150,7 @@ class TestSequences:
         one = LaurentPoly.one(CTX_T)
         for n_max in (True, 3.0):
             with pytest.raises(ValueError):
-                gen_full_sequence(pair, one, one, n_max)
+                gen_full_sequence(pair, one, n_max)
 
     def test_full_sequence_generalized_has_no_consistent_base(self):
         # The generalized pair admits no polynomial n=2 value: the n=3
@@ -160,8 +159,7 @@ class TestSequences:
         # With base2 = l1 the recurrence gives q + p - (qp)^(1/2) at n=3,
         # which differs from the knot value q + p - qp.
         pair = sp(*GEN_L)
-        one = LaurentPoly.one(CTX_QP)
-        seq = gen_full_sequence(pair, one, pair.l1, 3)
+        seq = gen_full_sequence(pair, pair.l1, 3)
         assert seq[3] == parse("q + p - q^(1/2)*p^(1/2)", CTX_QP)
         assert seq[3] != parse("q + p - q*p", CTX_QP)
 
@@ -272,7 +270,7 @@ class TestInterleave:
 
     @staticmethod
     def odd_pairs(pair, base2, n_max):
-        full = gen_full_sequence(pair, LaurentPoly.one(pair.context), base2, n_max)
+        full = gen_full_sequence(pair, base2, n_max)
         knots = gen_odd_sequence(l_to_k(pair), n_max if n_max % 2 else n_max - 1)
         return {n: value for n, value in full.items() if n % 2}, knots
 
@@ -301,9 +299,12 @@ class TestInterleave:
 
     def test_bases_alone_for_the_smallest_bounds(self):
         pair = sp(*ALEX_L, CTX_T)
-        base1, base2 = parse("t", CTX_T), parse("t^2", CTX_T)
-        assert gen_full_sequence(pair, base1, base2, 1) == {1: base1}
-        assert gen_full_sequence(pair, base1, base2, 2) == {1: base1, 2: base2}
+        one, base2 = LaurentPoly.one(CTX_T), parse("t^2", CTX_T)
+        assert gen_full_sequence(pair, base2, 1) == {1: one}
+        assert gen_full_sequence(pair, base2, 2) == {1: one, 2: base2}
+        # base2's context is checked before any step, even when n=2 is not returned.
+        with pytest.raises(ContextMismatch, match="^base2 and pair must share one context$"):
+            gen_full_sequence(pair, parse("q", CTX_QP), 1)
 
 
 # -- properties ----------------------------------------------------------------
@@ -355,9 +356,8 @@ def test_direct_two_parameter_numbers_match_substitution(case):
 @given(polys(max_terms=3, quarter_bound=6), polys(max_terms=3, quarter_bound=6), polys(max_terms=3, quarter_bound=6))
 @settings(max_examples=60, deadline=None)
 def test_flipping_l1_and_base2_fixes_odd_entries(l1, l2, base2):
-    one = LaurentPoly.one(CTX_QP)
-    plus = gen_full_sequence(SkeinPair(l1, l2), one, base2, 8)
-    minus = gen_full_sequence(SkeinPair(-l1, l2), one, -base2, 8)
+    plus = gen_full_sequence(SkeinPair(l1, l2), base2, 8)
+    minus = gen_full_sequence(SkeinPair(-l1, l2), -base2, 8)
     for n in range(1, 9):
         if n % 2:
             assert plus[n] == minus[n]
@@ -381,8 +381,7 @@ def test_odd_subsequence_of_full_recurrence_obeys_knot_step(l1, l2):
     # P(n+2) = k1 P(n) + k2 P(n-2) holds for every base2, knots and links alike
     pair = SkeinPair(l1, l2)
     k = l_to_k(pair)
-    one = LaurentPoly.one(CTX_QP)
     base2 = parse("q - p^(-1)", CTX_QP)
-    seq = gen_full_sequence(pair, one, base2, 9)
+    seq = gen_full_sequence(pair, base2, 9)
     for n in range(5, 10):
         assert seq[n] == k.k1 * seq[n - 2] + k.k2 * seq[n - 4]
