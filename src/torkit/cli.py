@@ -163,11 +163,10 @@ def run_verification(
     def ansatz(name: str, family: str) -> CheckReport:
         spec = reg[family]
         qhat, phat = solve_parameters(spec.knot_step)
-        coeffs = fit_ansatz(recurrence(family), qhat, phat)
-        a1, a2 = spec.ansatz
+        a1, a2 = fit_ansatz(recurrence(family), qhat, phat)
         failure = ""
-        if coeffs.a1 != a1 or coeffs.a2 != a2:
-            failure = counterexample(1, f"(a1, a2) = ({coeffs.a1}, {coeffs.a2})", f"({a1}, {a2})")
+        if (a1, a2) != spec.ansatz:
+            failure = counterexample(1, f"(a1, a2) = ({a1}, {a2})", "({}, {})".format(*spec.ansatz))
         return CheckReport(name, (n_max + 1) // 2, failure)
 
     def roundtrip(name: str, family: str) -> CheckReport:

@@ -108,7 +108,7 @@ def _build_family(
     # c_plus is a single +/-1 term in every family, so the division is an
     # exact term inverse (for jones, c_plus = t^(-1), this is the
     # multiply-through-by-t step).
-    ((key, sign),) = plus._terms.items()
+    ((key, sign),) = plus._terms.items() if plus.num_terms == 1 else (((), 0),)
     if sign not in (1, -1):
         raise ValueError("only +/-1 terms invert exactly")
     inv = LaurentPoly._make(context, {tuple(-q for q in key): sign})

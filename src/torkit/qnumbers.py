@@ -18,6 +18,7 @@ stepper, which skein's sequences run too.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import islice, repeat
 from typing import Iterator
 
@@ -64,24 +65,23 @@ def uv_number(n: int, u: LaurentPoly, v: LaurentPoly) -> LaurentPoly:
 
 
 # The named cases' contexts (families shares T_CTX and QP_CTX) and parameter pairs.
-_Q_CTX = VarContext(("q",))
 T_CTX = VarContext(("t",))
 QP_CTX = VarContext(("q", "p"))
 _QP_PAIR = (parse("q", QP_CTX), parse("p", QP_CTX))
 _JONES_PAIR = (parse("t^3", T_CTX), parse("t", T_CTX))
 
 
-def _q_pair(context: VarContext) -> tuple[LaurentPoly, LaurentPoly]:
-    """(x, x^(-1)) for the one variable x of context."""
-    return LaurentPoly._make(context, {(4,): 1}), LaurentPoly._make(context, {(-4,): 1})
-
-
-_Q_PAIRS = {"q": _q_pair(_Q_CTX), "t": _q_pair(T_CTX)}
+@cache
+def _q_pair(var: str) -> tuple[LaurentPoly, LaurentPoly]:
+    """(x, x^(-1)) for the variable named var, parsed once per name."""
+    context = VarContext((var,))
+    return parse(var, context), parse(f"{var}^(-1)", context)
 
 
 def q_number(n: int, var: str = "q") -> LaurentPoly:
-    """[n]_q = [n]_{q,q^(-1)}, the sum of the n monomials q^(n-1-2j)."""
-    return uv_number(n, *(_Q_PAIRS.get(var) or _q_pair(VarContext((var,)))))
+    """[n]_q = [n]_{q,q^(-1)}, the sum of the n monomials q^(n-1-2j), in the
+    one variable named var; each name's pair (var, var^(-1)) is parsed once."""
+    return uv_number(n, *_q_pair(var))
 
 
 def qp_number(n: int) -> LaurentPoly:
@@ -119,7 +119,7 @@ def _verify_recurrence(name: str, build, pair, n_max: int) -> CheckReport:
 
 def verify_q_recurrence(n_max: int) -> CheckReport:
     """Check [n+1] = (q + q^(-1))[n] - [n-1] exactly for 1 <= n <= n_max."""
-    return _verify_recurrence("q-number-recurrence", q_number, _Q_PAIRS["q"], n_max)
+    return _verify_recurrence("q-number-recurrence", q_number, _q_pair("q"), n_max)
 
 
 def verify_qp_recurrence(n_max: int) -> CheckReport:

@@ -23,7 +23,7 @@ every knot value is U_{m+1} + k2 U_m.  Both steps run qnumbers._steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .laurent import (
     ContextMismatch,
@@ -111,9 +111,9 @@ class KnotStepPair:
         return self.k1.context
 
 
-@dataclass(frozen=True)
-class AnsatzCoefficients:
-    """The fitted pair (a1, a2) in P(2m+1) = a1 [m+1] - a2 [m]."""
+class AnsatzCoefficients(NamedTuple):
+    """The fitted pair (a1, a2) in P(2m+1) = a1 [m+1] - a2 [m], a named
+    tuple: it unpacks as a1, a2 and equals the plain pair FamilySpec.ansatz."""
 
     a1: LaurentPoly
     a2: LaurentPoly
@@ -193,7 +193,8 @@ def fit_ansatz(seq: Mapping[int, LaurentPoly], qhat: LaurentPoly, phat: LaurentP
 
     a1 is the n=1 entry and a2 = a1 (qhat + phat) - P(3); both follow from
     the first two knots, after which every entry of seq is checked against
-    the ansatz and any deviation raises AnsatzMismatch.  Every key passes
+    the ansatz and any deviation raises AnsatzMismatch; the named pair it
+    returns unpacks as a1, a2 and equals FamilySpec.ansatz.  Every key passes
     odd_index first, so a key that is no knot index raises InvalidTorusIndex.
     qhat and phat must be single terms with coefficient +/-1 (ValueError
     otherwise) in the sequence's context (ContextMismatch otherwise).
@@ -204,12 +205,8 @@ def fit_ansatz(seq: Mapping[int, LaurentPoly], qhat: LaurentPoly, phat: LaurentP
             raise ValueError(f"sequence must contain entries 1 and 3, missing {needed}")
     a1 = seq[1]
     a2 = a1 * uv_number(2, qhat, phat) - seq[3]  # [2] = qhat + phat
-    last, high = None, None  # the previous entry's m and its [m+1]
     for m, n in indices:
-        low = high if last == m - 1 else uv_number(m, qhat, phat)
-        high = uv_number(m + 1, qhat, phat)
-        last = m
-        expected = a1 * high - a2 * low
+        expected = a1 * uv_number(m + 1, qhat, phat) - a2 * uv_number(m, qhat, phat)
         if expected != seq[n]:
             raise AnsatzMismatch(f"entry n={n} is {seq[n]} but the ansatz gives {expected}")
     return AnsatzCoefficients(a1, a2)

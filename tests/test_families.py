@@ -189,10 +189,11 @@ class TestSkeinData:
     def test_generalized_family_has_no_hopf_value(self):
         assert GENERALIZED_ALEXANDER.hopf is None
 
-    def test_c_plus_must_invert_exactly(self):
+    @pytest.mark.parametrize("c_plus", ["2*t", "t + 1", "0"])
+    def test_c_plus_must_invert_exactly(self, c_plus):
         # Only a single +/-1 term has a Laurent-polynomial inverse.
         with pytest.raises(ValueError) as info:
-            _build_family("doubled", CTX_T, "2*t", "-1", "t - 1", q_number)
+            _build_family("doubled", CTX_T, c_plus, "-1", "t - 1", q_number)
         assert str(info.value) == "only +/-1 terms invert exactly"
 
 

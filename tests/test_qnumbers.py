@@ -13,6 +13,7 @@ from conftest import CTX_Q, CTX_QP, CTX_T
 from torkit import (
     ContextMismatch,
     LaurentPoly,
+    VarContext,
     jones_number,
     parse,
     q_number,
@@ -65,6 +66,9 @@ class TestQNumber:
         assert q_number(2) == parse("q + q^(-1)", CTX_Q)
         assert q_number(3) == parse("q^2 + 1 + q^(-2)", CTX_Q)
         assert q_number(4) == parse("q^3 + q + q^(-1) + q^(-3)", CTX_Q)
+
+    def test_any_variable_name(self):
+        assert q_number(3, "x") == parse("x^2 + 1 + x^(-2)", VarContext(("x",)))
 
     def test_quotient_identity(self):
         # [n] (q - q^(-1)) = q^n - q^(-n), checked by multiplying back up

@@ -230,6 +230,18 @@ class TestFitAnsatz:
         with pytest.raises(AnsatzMismatch):
             fit_ansatz(seq, u, v)
 
+    def test_keys_with_gaps(self):
+        # Each entry is checked against its own [m+1] and [m], however far
+        # apart the keys are.
+        pair = kp(*GEN_K)
+        u, v = solve_parameters(pair)
+        full = gen_odd_sequence(pair, 15)
+        seq = {n: full[n] for n in (1, 3, 9, 15)}
+        assert fit_ansatz(seq, u, v) == (parse("1", CTX_QP), parse("q*p", CTX_QP))
+        seq[15] = seq[15] + parse("q", CTX_QP)
+        with pytest.raises(AnsatzMismatch, match="n=15"):
+            fit_ansatz(seq, u, v)
+
     @pytest.mark.parametrize("key", [0, -1, 11.0])
     def test_key_that_is_no_torus_index_is_rejected(self, key):
         # Every key must be a knot index; 0 and -1 would otherwise meet the n=1 ansatz value.
