@@ -105,13 +105,9 @@ def _build_family(
     zero = parse(c_zero, context)
     # Rearrange c_plus*P(+) + c_minus*P(-) = c_zero*P(0) into
     # P(+) = l1*P(0) + l2*P(-):  l1 = c_zero/c_plus, l2 = -c_minus/c_plus.
-    # c_plus is a single +/-1 term in every family, so the division is an
-    # exact term inverse (for jones, c_plus = t^(-1), this is the
-    # multiply-through-by-t step).
-    ((key, sign),) = plus._terms.items() if plus.num_terms == 1 else (((), 0),)
-    if sign not in (1, -1):
-        raise ValueError("only +/-1 terms invert exactly")
-    inv = LaurentPoly._make(context, {tuple(-q for q in key): sign})
+    # c_plus is a single +/-1 term in every family, a unit of the ring, so the
+    # division is the exact power c_plus ** -1 (for jones, c_plus = t^(-1): times t).
+    inv = plus ** -1
     pair = SkeinPair(zero * inv, -(minus * inv))
     knot_step = l_to_k(pair)
     k2 = knot_step.k2

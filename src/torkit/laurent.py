@@ -247,10 +247,14 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> LaurentPoly:
+        """The e-th power. e < 0 inverts a single +/-1 term (a unit); anything else raises ValueError."""
         if type(e) is not int:  # not isinstance(): bool is an int subclass and is rejected
             return NotImplemented
         if e < 0:
-            raise ValueError("negative powers of a general Laurent polynomial are undefined")
+            ((key, sign),) = self._terms.items() if len(self._terms) == 1 else (((), 0),)
+            if sign not in (1, -1):
+                raise ValueError("only +/-1 terms invert exactly")
+            return LaurentPoly._make(self._context, {tuple(e * q for q in key): sign ** (e % 2)})
         result = LaurentPoly.one(self._context)
         base = self
         while e:

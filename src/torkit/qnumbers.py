@@ -44,7 +44,7 @@ def uv_number(n: int, u: LaurentPoly, v: LaurentPoly) -> LaurentPoly:
         raise ContextMismatch(f"u and v must share one context, got {context.names} and {v.context.names}")
     if u.num_terms != 1 or v.num_terms != 1:
         raise ValueError("[n]_{u,v} needs u and v to be single terms")
-    ((ux, us),), ((vx, vs),) = u._terms.items(), v._terms.items()
+    ((ux, us),), ((vx, vs),) = u.terms.items(), v.terms.items()
     if us not in (1, -1) or vs not in (1, -1):
         raise ValueError("[n]_{u,v} needs u and v to have coefficient +1 or -1")
     s1 = us if n % 2 == 0 else 1

@@ -196,6 +196,19 @@ class TestSkeinData:
             _build_family("doubled", CTX_T, c_plus, "-1", "t - 1", q_number)
         assert str(info.value) == "only +/-1 terms invert exactly"
 
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_knot_step_runs_backward(self, family):
+        # k2 is a single +/-1 term, so P(n-2) = (P(n+2) - k1 P(n)) k2^(-1)
+        # is exact: stepping down from P(39), P(41) retraces the sequence.
+        spec = FAMILIES[family]
+        seq = spec.sequence(41)
+        k1, inv = spec.knot_step.k1, spec.knot_step.k2 ** -1
+        cur, nxt = seq[39], seq[41]
+        for n in range(39, 1, -2):
+            cur, nxt = (nxt - k1 * cur) * inv, cur
+            assert cur == seq[n - 2]
+        assert cur == 1
+
 
 class TestSubstitutions:
     def test_to_alexander_on_trefoil(self):

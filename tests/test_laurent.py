@@ -133,9 +133,25 @@ class TestArithmetic:
         f = P("q + 1")
         assert f ** 3 == P("q^3 + 3*q^2 + 3*q + 1")
 
-    def test_pow_negative_rejected(self):
-        with pytest.raises(ValueError):
-            P("q + 1") ** -1
+    @pytest.mark.parametrize("text", ["q + 1", "2*q", "0"])
+    def test_pow_negative_rejected(self, text):
+        # Only a single +/-1 term is a unit of the ring.
+        with pytest.raises(ValueError) as info:
+            P(text) ** -1
+        assert str(info.value) == "only +/-1 terms invert exactly"
+
+    @pytest.mark.parametrize("text", ["t", "-t", "-t^(1/2)", "t^(-3/4)", "q*p", "-q^(1/4)*p^(-1/4)"])
+    def test_units_invert(self, text):
+        u = P(text, CTX_QP if "q" in text else CTX_T)
+        for k in range(-5, 6):
+            assert u ** k * u ** -k == 1
+        assert (u ** -1) ** -1 == u
+
+    def test_negative_powers_of_units(self):
+        assert P("t", CTX_T) ** -1 == P("t^(-1)", CTX_T)
+        assert P("-t^(1/2)", CTX_T) ** -3 == P("-t^(-3/2)", CTX_T)
+        assert P("-t^(1/2)", CTX_T) ** -2 == P("t^(-1)", CTX_T)
+        assert P("q*p") ** -2 == P("q^(-2)*p^(-2)")
 
     def test_pow_bool_rejected(self):
         # bool is an int subclass; ** refuses it as * and every index check do

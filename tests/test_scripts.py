@@ -5,12 +5,14 @@ The walkthrough takes no options and walks every family in registry order:
 HOMFLY stops at the two-parameter split, and every other family's closed form
 agrees with its recurrence.  The `## Library` block runs as written and
 prints what its comments say.  `torkit.__all__` names exactly the public
-names the package binds, apart from its submodules.  Every Python file of
-the repository compiles with warnings as errors.
+names the package binds, apart from its submodules.  No module but
+`laurent` reads a polynomial's private term dict.  Every Python file of the
+repository compiles with warnings as errors.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import re
 import subprocess
@@ -66,6 +68,19 @@ def test_export_list_is_what_the_package_binds():
     namespace: dict = {}
     exec("from torkit import *", namespace)
     assert set(torkit.__all__) <= set(namespace)
+
+
+def test_only_laurent_reads_term_dicts():
+    # Every other module goes through the public `.terms` copy, so the
+    # private mapping has one owner.
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "torkit").glob("*.py"))
+        if path.name != "laurent.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "_terms"
+    ]
+    assert readers == []
 
 
 @pytest.mark.parametrize("folder", ["src", "scripts", "tests", "perfbench"])
