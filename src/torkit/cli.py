@@ -24,7 +24,7 @@ from .families import (
     to_alexander,
     to_jones,
 )
-from .laurent import LaurentPoly, TorkitError, decimal_int, to_json
+from .laurent import LaurentPoly, TorkitError, _linear, decimal_int, to_json
 from .qnumbers import (
     jones_number,
     q_number,
@@ -178,7 +178,7 @@ def run_verification(
         seq = full(family)
         c_plus, c_minus, c_zero = reg[family].skein_form
         cases = (
-            (n, c_plus * seq[n] + c_minus * seq[n - 2], c_zero * seq[n - 1])
+            (n, _linear(c_plus, seq[n], c_minus, seq[n - 2]), c_zero * seq[n - 1])
             for n in range(3, n_max + 1)
         )
         return compare(name, cases)

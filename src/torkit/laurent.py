@@ -353,6 +353,45 @@ class LaurentPoly:
         return f"LaurentPoly({self._context.names}, {self.canonical_string()!r})"
 
 
+def _linear(c1: LaurentPoly, x: LaurentPoly, c2: LaurentPoly, y: LaurentPoly) -> LaurentPoly:
+    """c1*x + c2*y in one dict: each step of qnumbers._steps, and the left
+    side of verify's skein-form check.
+
+    The first term of c1 gives a shifted, scaled copy of x's terms; every
+    other term of c1 (on x) and of c2 (on y) merges its copy into that dict
+    in place, deleting each key whose coefficient cancels.  No input is
+    mutated.  x, c2 and y must share c1's context (ContextMismatch otherwise).
+    """
+    x, c2, y = c1._coerce(x), c1._coerce(c2), c1._coerce(y)
+    copies = [(key, c, x._terms) for key, c in c1._terms.items()]
+    copies += [(key, c, y._terms) for key, c in c2._terms.items()]
+    if not copies:
+        return LaurentPoly._make(c1._context, {})
+    (key, c, terms), *rest = copies
+    out = _scale_terms({key: c}, terms)
+    get = out.get
+    for key, c, terms in rest:
+        if len(key) == 1:
+            (s,) = key
+            for (e,), v in terms.items():
+                k = (e + s,)
+                v = get(k, 0) + v * c
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
+        else:
+            s0, s1 = key
+            for (e0, e1), v in terms.items():
+                k = (e0 + s0, e1 + s1)
+                v = get(k, 0) + v * c
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
+    return LaurentPoly._make(c1._context, out)
+
+
 # -- multiplication kernels ------------------------------------------------------
 #
 # Each takes two term dicts of one context, `a` the one with fewer terms, and

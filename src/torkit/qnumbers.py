@@ -13,7 +13,8 @@ the one place that builds it.  The named cases are the symmetric q-number
 so it is the Lucas sequence U_n of the knot step (u + v, -uv), the U of
 the families' closed forms.  verify_q_recurrence and verify_qp_recurrence
 confirm it by exact polynomial equality against _steps, the one recurrence
-stepper, which skein's sequences run too.
+stepper, which skein's sequences run too; each of its steps is one fused
+laurent._linear call.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import cache
 from itertools import islice, repeat
 from typing import Iterator
 
-from .laurent import ContextMismatch, LaurentPoly, VarContext, parse
+from .laurent import ContextMismatch, LaurentPoly, VarContext, _linear, parse
 from .report import CheckReport, compare
 
 
@@ -98,14 +99,16 @@ def _steps(
     c1: LaurentPoly, c2: LaurentPoly, first: LaurentPoly, second: LaurentPoly
 ) -> Iterator[LaurentPoly]:
     """first, second, then c1 * cur + c2 * prev for each later entry, holding
-    only the two entries the next step reads.  This is the one recurrence
-    stepper: the skein steps run it with (l1, l2) and (k1, k2), the
-    recurrence checks with (u + v, -uv)."""
+    only the two entries the next step reads.  Each step is one fused
+    _linear call: the shifted, scaled copies of cur and prev merge into a
+    single dict, with no product or sum built on the way.  This is the one
+    recurrence stepper: the skein steps run it with (l1, l2) and (k1, k2),
+    the recurrence checks with (u + v, -uv)."""
     prev, cur = first, second
     yield prev
     while True:
         yield cur
-        prev, cur = cur, c1 * cur + c2 * prev
+        prev, cur = cur, _linear(c1, cur, c2, prev)
 
 
 def _verify_recurrence(name: str, build, pair, n_max: int) -> CheckReport:

@@ -1,6 +1,7 @@
 """Differential tests for the fast multiply: every path of LaurentPoly.__mul__
 (zero, single-term scaling, the pairwise loop, Kronecker packing and its
-density fallback) must agree with the plain schoolbook product."""
+density fallback) and the fused recurrence step _linear must agree with the
+plain schoolbook product."""
 
 from __future__ import annotations
 
@@ -8,8 +9,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import CTX_QP, CTX_T, shaped_pairs
+from conftest import CTX_QP, CTX_T, polys, shaped_pairs
 from torkit import (
+    ContextMismatch,
     LaurentPoly,
     generalized_alexander_torus,
     homfly_torus,
@@ -18,7 +20,7 @@ from torkit import (
     parse,
     q_number,
 )
-from torkit.laurent import _KRONECKER_MIN_TERMS
+from torkit.laurent import _KRONECKER_MIN_TERMS, _linear
 
 
 def schoolbook_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
@@ -65,6 +67,47 @@ def test_cancelling_products_match_schoolbook(pair, n, stride):
     g = one_minus_x * c
     assert_matches_schoolbook(geometric, g)
     assert geometric * g == c - LaurentPoly(f.context, {tuple(n * e for e in x): 1}) * c
+
+
+@st.composite
+def linear_operands(draw):
+    """(c1, x, c2, y) of one context, c1 and c2 of 0 to 3 terms.  A third of
+    the draws cancel completely (c2 = -c1, y = x); another third lead c1 with
+    the constant 1, whose copy of x is x's terms unchanged."""
+    context = draw(st.sampled_from((CTX_T, CTX_QP)))
+    coefficient, operand = polys(context, max_terms=3), polys(context, max_terms=8)
+    c1, x = draw(coefficient), draw(operand)
+    shape = draw(st.sampled_from(("free", "cancel", "unit")))
+    if shape == "cancel":
+        return c1, x, -c1, x
+    if shape == "unit":
+        c1 = LaurentPoly(context, [((0,) * len(context), 1), *c1.terms.items()])
+    return c1, x, draw(coefficient), draw(operand)
+
+
+@given(linear_operands())
+@settings(max_examples=300, deadline=None)
+def test_linear_matches_schoolbook(operands):
+    c1, x, c2, y = operands
+    before = [f.terms for f in operands]
+    result = _linear(c1, x, c2, y)
+    # Both products' terms through the validating constructor, which merges keys and drops zeros.
+    terms = [*schoolbook_mul(c1, x).terms.items(), *schoolbook_mul(c2, y).terms.items()]
+    expected = LaurentPoly(c1.context, terms)
+    assert result == expected
+    assert 0 not in result.terms.values()
+    if c2 == -c1 and y == x:
+        assert result.is_zero()
+    assert [f.terms for f in operands] == before
+    assert all(result._terms is not f._terms for f in operands)
+
+
+@pytest.mark.parametrize("position", range(1, 4))
+def test_linear_rejects_another_context(position):
+    operands = [parse("q + p", CTX_QP), parse("q - 2*p", CTX_QP), parse("-p", CTX_QP), parse("3*q*p", CTX_QP)]
+    operands[position] = parse("t", CTX_T)
+    with pytest.raises(ContextMismatch, match="contexts differ"):
+        _linear(*operands)
 
 
 class TestDispatch:

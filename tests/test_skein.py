@@ -13,6 +13,7 @@ from hypothesis import given, settings
 
 from conftest import CTX_AZ, CTX_QP, CTX_T, leading_coefficient, polys
 from torkit import (
+    FAMILIES,
     AnsatzMismatch,
     ContextMismatch,
     EvenIndexUnsupported,
@@ -317,6 +318,29 @@ class TestInterleave:
         # base2's context is checked before any step, even when n=2 is not returned.
         with pytest.raises(ContextMismatch, match="^base2 and pair must share one context$"):
             gen_full_sequence(pair, parse("q", CTX_QP), 1)
+
+
+def naive_steps(c1, c2, first, second, count):
+    """The first count entries of P(n+1) = c1 P(n) + c2 P(n-1) with plain * and
+    +: the naive twin of the fused stepper behind both sequences."""
+    entries = [first, second]
+    while len(entries) < count:
+        entries.append(c1 * entries[-1] + c2 * entries[-2])
+    return entries
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_fused_steps_match_the_naive_stepper(family):
+    spec = FAMILIES[family]
+    k1, k2 = spec.knot_step.k1, spec.knot_step.k2
+    one = LaurentPoly.one(spec.context)
+    odd = gen_odd_sequence(spec.knot_step, 201)
+    assert list(odd) == list(range(1, 202, 2))
+    assert list(odd.values()) == naive_steps(k1, k2, one, k1 + k2, 101)
+    base2 = spec.hopf if spec.hopf is not None else spec.skein.l1
+    full = gen_full_sequence(spec.skein, base2, 201)
+    assert list(full) == list(range(1, 202))
+    assert list(full.values()) == naive_steps(spec.skein.l1, spec.skein.l2, one, base2, 201)
 
 
 # -- properties ----------------------------------------------------------------
