@@ -43,13 +43,13 @@ def walk(spec: FamilySpec) -> None:
     print()
 
     print(f"step 3: fit P(2m+1) = a1*[m+1] - a2*[m] against indices 1..{FIT_TO}")
-    coeffs = fit_ansatz(gen_odd_sequence(pair, FIT_TO), u, v)
+    coeffs = fit_ansatz(dict(gen_odd_sequence(pair, FIT_TO)), u, v)
     print(f"  a1 = {coeffs.a1}")
     print(f"  a2 = {coeffs.a2}")
     print()
 
     print(f"cross-check: closed form vs recurrence up to n = {CHECK_TO}")
-    long_seq = gen_odd_sequence(pair, CHECK_TO)
+    long_seq = dict(gen_odd_sequence(pair, CHECK_TO))
     fit_ansatz(long_seq, u, v)  # raises AnsatzMismatch at the first entry that deviates
     for n, value in long_seq.items():
         print(f"  n = {n:>2}: ok  {value}")

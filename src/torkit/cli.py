@@ -24,7 +24,7 @@ from .families import (
     to_alexander,
     to_jones,
 )
-from .laurent import LaurentPoly, TorkitError, _linear, decimal_int, to_json
+from .laurent import LaurentPoly, TorkitError, _linear, _text, decimal_int, to_json
 from .qnumbers import (
     jones_number,
     q_number,
@@ -38,6 +38,7 @@ from .skein import (
     KnotStepPair,
     fit_ansatz,
     gen_full_sequence,
+    gen_odd_sequence,
     k_to_l,
     l_to_k,
     odd_index,
@@ -88,10 +89,14 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    seq = FAMILIES[args.family].sequence(args.n_max)
-    for n, value in seq.items():
-        line = OutputRecord(args.family, n, value, args.format).render()
-        print(line if args.format == "json" else f"{n}\t{line}")
+    # Each row is printed as the knot step makes it, so only two values are held.
+    # Neighbouring rows repeat most exponents, so text rows share one memo of powers.
+    first, second = {}, {}
+    for n, value in gen_odd_sequence(FAMILIES[args.family].knot_step, args.n_max):
+        if args.format == "json":
+            print(OutputRecord(args.family, n, value, "json").render())
+        else:
+            print(f"{n}\t{_text(value, first, second)}")
     return 0
 
 
@@ -245,11 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     Sharing is safe because the parser holds only objects made at import: the
     cmd_* functions, decimal_int, FAMILY_NAMES and the keys of _NUMBER_KINDS.
-    Each cmd_* looks up FAMILIES, _CONVERSIONS, run_verification, to_json and
-    OutputRecord.render when it runs, so wrappers set on those after the first
-    call (tracers, monkeypatches) still take effect.  argparse writes help,
-    usage and errors to whatever sys.stdout and sys.stderr are when it
-    writes, so redirect_stdout and capsys still capture them.
+    Each cmd_* looks up FAMILIES, _CONVERSIONS, run_verification,
+    gen_odd_sequence, to_json and OutputRecord.render when it runs, so
+    wrappers set on those after the first call (tracers, monkeypatches)
+    still take effect.  argparse writes help, usage and errors to whatever
+    sys.stdout and sys.stderr are when it writes, so redirect_stdout and
+    capsys still capture them.
     """
     parser = argparse.ArgumentParser(
         prog="torkit",

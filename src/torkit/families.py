@@ -87,7 +87,7 @@ class FamilySpec:
 
     def sequence(self, n_max: int) -> dict[int, LaurentPoly]:
         """Values for every odd n <= n_max, keyed by n, from the knot-step recurrence."""
-        return gen_odd_sequence(self.knot_step, n_max)
+        return dict(gen_odd_sequence(self.knot_step, n_max))
 
 
 def _build_family(

@@ -295,56 +295,9 @@ class LaurentPoly:
     # -- rendering ---------------------------------------------------------------
 
     def canonical_string(self) -> str:
-        """Deterministic text form, terms in canonical (descending lex) order.
-
-        One pass per arity: each term is written as " + " or " - " and its
-        magnitude, and the first term's separator becomes "" or "-" at the end.
-        """
-        terms = self._terms
-        if not terms:
-            return "0"
-        parts = []
-        append = parts.append
-        if len(self._context) == 1:
-            (name,) = self._context.names
-            for key in sorted(terms, reverse=True):
-                c = terms[key]
-                sep = " + " if c > 0 else " - "
-                if c < 0:
-                    c = -c
-                e = key[0]
-                if not e:
-                    append(f"{sep}{c if c < _BIG else _decimal(c)}")
-                elif c == 1:
-                    append(sep + _render_varpow(name, e))
-                else:
-                    append(f"{sep}{c if c < _BIG else _decimal(c)}*{_render_varpow(name, e)}")
-        else:
-            # Powers of each variable, built once per distinct exponent; the
-            # second variable's carry the "*" that joins them to the first's.
-            name0, name1 = self._context.names
-            first, second = {}, {}
-            for key in sorted(terms, reverse=True):
-                c = terms[key]
-                sep = " + " if c > 0 else " - "
-                if c < 0:
-                    c = -c
-                e0, e1 = key
-                body = ""
-                if e0:
-                    body = first.get(e0) or first.setdefault(e0, _render_varpow(name0, e0))
-                if e1:
-                    tail = second.get(e1) or second.setdefault(e1, "*" + _render_varpow(name1, e1))
-                    body = body + tail if body else tail[1:]
-                if not body:
-                    append(f"{sep}{c if c < _BIG else _decimal(c)}")
-                elif c == 1:
-                    append(sep + body)
-                else:
-                    append(f"{sep}{c if c < _BIG else _decimal(c)}*{body}")
-        lead = parts[0]
-        parts[0] = lead[3:] if lead[1] == "+" else "-" + lead[3:]
-        return "".join(parts)
+        """Deterministic text form, terms in canonical (descending lex) order."""
+        # A one-variable polynomial repeats no exponent: alone, it keeps no memo.
+        return _text(self, None if len(self._context) == 1 else {}, {})
 
     def __str__(self) -> str:
         return self.canonical_string()
@@ -521,11 +474,74 @@ def _pack(cols: list, coeffs: Iterable, lows: list, strides: list, spans: list, 
     return int("".join(pos), 16) - int("".join(neg), 16)
 
 
+def _text(f: LaurentPoly, first: dict | None, second: dict) -> str:
+    """f.canonical_string(), with each variable's rendered powers memoized.
+
+    first and second map an exponent of the first and second variable to
+    its text; the second's carry the "*" that joins them to the first's.
+    Any power not yet in them is rendered and added, so a caller rendering
+    many polynomials of one context (a table's rows) can pass the same two
+    dicts to each.  first may be None for a one-variable f rendered alone,
+    whose exponents are all distinct, so that a memo would only cost.  One
+    pass per arity: each term is written as " + " or " - " and its
+    magnitude, and the first term's separator becomes "" or "-" at the end.
+    """
+    terms = f._terms
+    if not terms:
+        return "0"
+    parts = []
+    append = parts.append
+    if len(f._context) == 1:
+        (name,) = f._context.names
+        for key in sorted(terms, reverse=True):
+            c = terms[key]
+            sep = " + " if c > 0 else " - "
+            if c < 0:
+                c = -c
+            e = key[0]
+            if not e:
+                append(f"{sep}{c if c < _BIG else _decimal(c)}")
+                continue
+            if first is None:
+                body = _render_varpow(name, e)
+            else:
+                body = first.get(e) or first.setdefault(e, _render_varpow(name, e))
+            if c == 1:
+                append(sep + body)
+            else:
+                append(f"{sep}{c if c < _BIG else _decimal(c)}*{body}")
+    else:
+        name0, name1 = f._context.names
+        for key in sorted(terms, reverse=True):
+            c = terms[key]
+            sep = " + " if c > 0 else " - "
+            if c < 0:
+                c = -c
+            e0, e1 = key
+            body = ""
+            if e0:
+                body = first.get(e0) or first.setdefault(e0, _render_varpow(name0, e0))
+            if e1:
+                tail = second.get(e1) or second.setdefault(e1, "*" + _render_varpow(name1, e1))
+                body = body + tail if body else tail[1:]
+            if not body:
+                append(f"{sep}{c if c < _BIG else _decimal(c)}")
+            elif c == 1:
+                append(sep + body)
+            else:
+                append(f"{sep}{c if c < _BIG else _decimal(c)}*{body}")
+    lead = parts[0]
+    parts[0] = lead[3:] if lead[1] == "+" else "-" + lead[3:]
+    return "".join(parts)
+
+
 def _render_varpow(name: str, quarters: int) -> str:
     if quarters == 4:
         return name
     if quarters % 4 == 0:
-        e = _decimal(quarters // 4)
+        e = quarters // 4
+        if not -_BIG < e < _BIG:
+            e = _decimal(e)
         return f"{name}^{e}" if quarters > 0 else f"{name}^({e})"
     g = gcd(quarters, 4)
     return f"{name}^({_decimal(quarters // g)}/{4 // g})"

@@ -23,7 +23,7 @@ every knot value is U_{m+1} + k2 U_m.  Both steps run qnumbers._steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .laurent import (
     ContextMismatch,
@@ -144,12 +144,17 @@ def k_to_l(pair: KnotStepPair) -> SkeinPair:
     raise NotInvertible("neither sign of sqrt(-k2) makes k1 - 2*l2 a perfect square")
 
 
-def gen_odd_sequence(pair: KnotStepPair, n_max: int) -> dict[int, LaurentPoly]:
-    """Knot values for odd n <= n_max, keyed by n, from the bases P(1) = 1,
-    P(3) = k1 + k2."""
+def gen_odd_sequence(pair: KnotStepPair, n_max: int) -> Iterator[tuple[int, LaurentPoly]]:
+    """(n, P(n)) for each odd n <= n_max in turn, from the bases P(1) = 1,
+    P(3) = k1 + k2.
+
+    n_max is checked at the call, but each value is made only when it is
+    asked for, and the iterator holds just the two the next step reads;
+    dict(...) of it is FamilySpec.sequence(n_max).
+    """
     odd_index(n_max)
     steps = _steps(pair.k1, pair.k2, LaurentPoly.one(pair.context), pair.k1 + pair.k2)
-    return dict(zip(range(1, n_max + 1, 2), steps))
+    return zip(range(1, n_max + 1, 2), steps)
 
 
 def gen_full_sequence(pair: SkeinPair, base2: LaurentPoly, n_max: int) -> dict[int, LaurentPoly]:

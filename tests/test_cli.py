@@ -115,6 +115,19 @@ class TestTable:
         assert [r["n"] for r in records] == [1, 3, 5, 7]
         assert records[1]["polynomial"] == to_json_obj(parse("q + p - q*p", CTX_QP))
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("family", list(families.FAMILIES))
+    @pytest.mark.parametrize("n_max", [1, 3, 101, 301])
+    def test_streamed_rows_match_the_built_sequence(self, capsys, n_max, family, fmt):
+        """Rows printed as the knot step makes them are the rows of the whole
+        sequence, built first and each rendered through OutputRecord."""
+        rc, out, _ = run(capsys, "table", "--family", family, "--n-max", str(n_max), "--format", fmt)
+        expected = ""
+        for n, value in families.FAMILIES[family].sequence(n_max).items():
+            line = cli.OutputRecord(family, n, value, fmt).render()
+            expected += (line if fmt == "json" else f"{n}\t{line}") + "\n"
+        assert (rc, out) == (0, expected)
+
     def test_even_bound_is_usage_error(self, capsys):
         rc, _, err = run(capsys, "table", "--family", "alexander", "--n-max", "6")
         assert rc == 2
@@ -571,6 +584,24 @@ class TestSubprocess:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "q + q^(-1)"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    def test_table_holds_two_values_not_the_whole_sequence(self):
+        """table prints each row as the knot step makes it: at n_max = 1001
+        HOMFLY peaks below 40 MiB resident, where holding all 501 values
+        took 74 MiB.  The peak is read in a wrapper process, whose only
+        child is the table run."""
+        code = (
+            "import resource, subprocess, sys\n"
+            "subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+        )
+        table = ["-m", "torkit", "table", "--family", "homfly", "--n-max", "1001", "--format", "json"]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, sys.executable, *table], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 40 * 1024
 
     def test_exit_code_surfaces_through_shell(self):
         proc = subprocess.run(

@@ -82,7 +82,7 @@ class TestClosedFormAgreesWithRecurrence:
     @pytest.mark.parametrize("family", sorted(COMPUTE))
     def test_match_through_n_21(self, family):
         spec = FAMILIES[family]
-        seq = gen_odd_sequence(spec.knot_step, 21)
+        seq = dict(gen_odd_sequence(spec.knot_step, 21))
         fn, _ = COMPUTE[family]
         for n in range(1, 22, 2):
             assert fn(n) == spec.value(n) == seq[n]
@@ -90,7 +90,7 @@ class TestClosedFormAgreesWithRecurrence:
     def test_homfly_closed_form_matches_recurrence_n_le_13_201_401(self):
         # value(n) is the Chebyshev-U closed form; the knot-step recurrence
         # is the oracle.
-        seq = gen_odd_sequence(HOMFLY.knot_step, 401)
+        seq = dict(gen_odd_sequence(HOMFLY.knot_step, 401))
         for n in (*range(1, 14, 2), 201, 401):
             assert homfly_torus(n) == HOMFLY.value(n) == seq[n]
 
@@ -98,7 +98,7 @@ class TestClosedFormAgreesWithRecurrence:
     @settings(max_examples=30, deadline=None)
     def test_homfly_value_matches_its_sequence(self, m):
         n = 2 * m + 1
-        assert HOMFLY.value(n) == gen_odd_sequence(HOMFLY.knot_step, n)[n]
+        assert HOMFLY.value(n) == dict(gen_odd_sequence(HOMFLY.knot_step, n))[n]
 
     def test_homfly_value_does_not_hold_the_sequence(self):
         # The whole sequence to n = 401 peaks at about 7.5 MiB, the closed

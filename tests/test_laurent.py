@@ -32,7 +32,7 @@ from torkit import (
     to_json,
     to_json_obj,
 )
-from torkit.laurent import _digits_int, decimal_int
+from torkit.laurent import _digits_int, _text, decimal_int
 
 
 def P(text: str, ctx=CTX_QP) -> LaurentPoly:
@@ -537,6 +537,32 @@ class TestCanonicalString:
         text = f"1{'0' * 4400} - 1{'0' * 4400}*t^(-4{'0' * 4299}1/4)"
         assert str(g) == text
         assert parse(text, CTX_T) == g
+
+    def test_a_shared_power_memo_renders_each_canonical_string(self):
+        # A table passes one memo to all its rows; whatever earlier
+        # polynomials left in it, each renders as its own canonical string.
+        e = 10**600  # the first exponent _render_varpow writes in chunks
+        one_var = [
+            LaurentPoly.constant(CTX_T, -7),
+            P("t^3 - 2*t + 5 - t^(-1) + 3*t^(-2)", CTX_T),
+            P("t^(3/2) - t^(1/4) + t^(-1/2) - 4*t^(-5/4)", CTX_T),
+            LaurentPoly(CTX_T, {(4 * e,): 1, (4 * e - 4,): 2, (-4 * e - 2,): -3}),
+            P("t^2 - t + 1 - t^(-1) + t^(-2)", CTX_T),
+        ]
+        two_var = [
+            LaurentPoly.constant(CTX_QP, 3),
+            P("q + p - q*p"),
+            P("q^(3/2)*p^(-1/2) - q^(1/4) + 2*q^(-3)*p^(-2) - 5"),
+            LaurentPoly(CTX_QP, {(4 * e, -4 * e - 1): -1, (0, 4 * e + 2): 3, (4, 4): 1}),
+            P("-q*p + q + p - 1 + q^(-1)*p^(-1) + p^(1/2)"),
+        ]
+        for polys in (one_var, two_var):
+            first, second = {}, {}
+            for f in polys + polys[::-1]:
+                text = _text(f, first, second)
+                assert text == f.canonical_string()
+                assert parse(text, f.context) == f
+        assert _text(one_var[3], {}, {}) == f"t^1{'0' * 600} + 2*t^{'9' * 600} - 3*t^(-2{'0' * 599}1/2)"
 
 
 class TestParse:

@@ -7,6 +7,8 @@ direction was checked by hand the same way before freezing.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,7 @@ from torkit import (
     solve_parameters,
     uv_number,
 )
+from torkit import skein
 from torkit.skein import odd_index
 
 
@@ -117,17 +120,39 @@ class TestKToL:
 
 class TestSequences:
     def test_odd_bases(self):
-        seq = gen_odd_sequence(kp(*GEN_K), 3)
+        seq = dict(gen_odd_sequence(kp(*GEN_K), 3))
         assert seq == {1: LaurentPoly.one(CTX_QP), 3: parse("q + p - q*p", CTX_QP)}
 
     def test_odd_recurrence_step(self):
-        seq = gen_odd_sequence(kp(*GEN_K), 7)
+        seq = dict(gen_odd_sequence(kp(*GEN_K), 7))
         k1, k2 = parse(GEN_K[0], CTX_QP), parse(GEN_K[1], CTX_QP)
         assert seq[7] == k1 * seq[5] + k2 * seq[3]
 
+    def test_odd_sequence_is_lazy(self, monkeypatch):
+        # Under a stepper that fails on a fourth value, a sequence up to
+        # n = 10**9 + 1 still returns at once and gives its first three pairs:
+        # each value is made only when it is asked for.
+        steps = skein._steps
+
+        def three_only(*args):
+            yield from islice(steps(*args), 3)
+            raise AssertionError("the sequence asked for a value no caller took")
+
+        monkeypatch.setattr(skein, "_steps", three_only)
+        pair = kp(*GEN_K)
+        k1, k2 = pair.k1, pair.k2
+        seq = gen_odd_sequence(pair, 10**9 + 1)
+        assert list(islice(seq, 3)) == [
+            (1, LaurentPoly.one(CTX_QP)),
+            (3, k1 + k2),
+            (5, k1 * (k1 + k2) + k2),
+        ]
+
     def test_odd_rejects_even_bound(self):
-        with pytest.raises(ValueError):
-            gen_odd_sequence(kp(*GEN_K), 4)
+        # Nothing is iterated: the call itself raises.
+        for n_max in (4, 0):
+            with pytest.raises(InvalidTorusIndex):
+                gen_odd_sequence(kp(*GEN_K), n_max)
 
     def test_even_index_message_names_the_full_sequence(self):
         # True of every family: alexander, jones and homfly supply an n=2
@@ -166,7 +191,7 @@ class TestSequences:
 
     def test_entry_lookup_error(self):
         # Odd keys up to n_max and nothing else.
-        seq = gen_odd_sequence(kp(*GEN_K), 5)
+        seq = dict(gen_odd_sequence(kp(*GEN_K), 5))
         assert list(seq) == [1, 3, 5]
         with pytest.raises(KeyError):
             seq[7]
@@ -206,7 +231,7 @@ class TestFitAnsatz:
     def fit(self, k, ctx, n_max=21):
         pair = kp(*k, ctx)
         u, v = solve_parameters(pair)
-        return fit_ansatz(gen_odd_sequence(pair, n_max), u, v)
+        return fit_ansatz(dict(gen_odd_sequence(pair, n_max)), u, v)
 
     def test_alexander_coefficients(self):
         c = self.fit(ALEX_K, CTX_T)
@@ -226,7 +251,7 @@ class TestFitAnsatz:
     def test_corrupted_entry_is_caught(self):
         pair = kp(*GEN_K)
         u, v = solve_parameters(pair)
-        seq = gen_odd_sequence(pair, 9)
+        seq = dict(gen_odd_sequence(pair, 9))
         seq[7] = seq[7] + parse("q", CTX_QP)
         with pytest.raises(AnsatzMismatch):
             fit_ansatz(seq, u, v)
@@ -236,7 +261,7 @@ class TestFitAnsatz:
         # apart the keys are.
         pair = kp(*GEN_K)
         u, v = solve_parameters(pair)
-        full = gen_odd_sequence(pair, 15)
+        full = dict(gen_odd_sequence(pair, 15))
         seq = {n: full[n] for n in (1, 3, 9, 15)}
         assert fit_ansatz(seq, u, v) == (parse("1", CTX_QP), parse("q*p", CTX_QP))
         seq[15] = seq[15] + parse("q", CTX_QP)
@@ -247,14 +272,14 @@ class TestFitAnsatz:
     def test_key_that_is_no_torus_index_is_rejected(self, key):
         # Every key must be a knot index; 0 and -1 would otherwise meet the n=1 ansatz value.
         pair = kp(*JONES_K, CTX_T)
-        seq = gen_odd_sequence(pair, 9)
+        seq = dict(gen_odd_sequence(pair, 9))
         seq[key] = seq[1]
         with pytest.raises(InvalidTorusIndex):
             fit_ansatz(seq, *solve_parameters(pair))
 
     def test_even_key_raises_the_index_error_not_a_mismatch(self):
         pair = kp(*JONES_K, CTX_T)
-        seq = gen_odd_sequence(pair, 9)
+        seq = dict(gen_odd_sequence(pair, 9))
         seq[2] = LaurentPoly.one(CTX_T)
         with pytest.raises(EvenIndexUnsupported):
             fit_ansatz(seq, *solve_parameters(pair))
@@ -263,10 +288,10 @@ class TestFitAnsatz:
         pair = kp(*GEN_K)
         u, v = solve_parameters(pair)
         with pytest.raises(ValueError):
-            fit_ansatz(gen_odd_sequence(pair, 9), 2 * u, v)
+            fit_ansatz(dict(gen_odd_sequence(pair, 9)), 2 * u, v)
 
     def test_parameters_of_another_context_rejected(self):
-        seq = gen_odd_sequence(kp(*GEN_K), 9)
+        seq = dict(gen_odd_sequence(kp(*GEN_K), 9))
         with pytest.raises(ContextMismatch):
             fit_ansatz(seq, *solve_parameters(kp(*JONES_K, CTX_T)))
         u, v = solve_parameters(kp(*GEN_K))
@@ -284,7 +309,7 @@ class TestInterleave:
     @staticmethod
     def odd_pairs(pair, base2, n_max):
         full = gen_full_sequence(pair, base2, n_max)
-        knots = gen_odd_sequence(l_to_k(pair), n_max if n_max % 2 else n_max - 1)
+        knots = dict(gen_odd_sequence(l_to_k(pair), n_max if n_max % 2 else n_max - 1))
         return {n: value for n, value in full.items() if n % 2}, knots
 
     def test_alexander_hopf(self):
@@ -334,7 +359,7 @@ def test_fused_steps_match_the_naive_stepper(family):
     spec = FAMILIES[family]
     k1, k2 = spec.knot_step.k1, spec.knot_step.k2
     one = LaurentPoly.one(spec.context)
-    odd = gen_odd_sequence(spec.knot_step, 201)
+    odd = dict(gen_odd_sequence(spec.knot_step, 201))
     assert list(odd) == list(range(1, 202, 2))
     assert list(odd.values()) == naive_steps(k1, k2, one, k1 + k2, 101)
     base2 = spec.hopf if spec.hopf is not None else spec.skein.l1
@@ -359,7 +384,7 @@ def test_two_parameter_ansatz_always_fits(u, v):
         return
     pair = KnotStepPair(u + v, -(u * v))
     uu, vv = solve_parameters(pair)
-    coeffs = fit_ansatz(gen_odd_sequence(pair, 11), uu, vv)
+    coeffs = fit_ansatz(dict(gen_odd_sequence(pair, 11)), uu, vv)
     assert coeffs.a1 == LaurentPoly.one(CTX_QP)
     assert coeffs.a2 == u * v
 
