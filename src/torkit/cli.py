@@ -2,16 +2,18 @@
 
 Exit codes: 0 on success (and when every verification check passes); 1 when
 any verification check fails, or when another library error such as
-NotAPerfectSquare ends the command with one `error:` line; 2 on usage errors
-such as an even torus index or an unsupported conversion.  JSON output embeds
-polynomials in the exact interchange form of the laurent module, one record
-per line in table mode.
+NotAPerfectSquare ends the command with one `error:` line, and when stdout is
+closed before the output is written (`| head -n 1`), with nothing on stderr;
+2 on usage errors such as an even torus index or an unsupported conversion.
+JSON output embeds polynomials in the exact interchange form of the laurent
+module, one record per line in table mode.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 from functools import cache
@@ -312,4 +314,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _usage_error(str(exc))
     except TorkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader of stdout is gone (`| head -n 1`).  Point fd 1 at devnull so
+        # the interpreter's final flush cannot raise again, and end quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1

@@ -311,9 +311,9 @@ def _linear(c1: LaurentPoly, x: LaurentPoly, c2: LaurentPoly, y: LaurentPoly) ->
     side of verify's skein-form check.
 
     The first term of c1 gives a shifted, scaled copy of x's terms; every
-    other term of c1 (on x) and of c2 (on y) merges its copy into that dict
-    in place, deleting each key whose coefficient cancels.  No input is
-    mutated.  x, c2 and y must share c1's context (ContextMismatch otherwise).
+    other term of c1 (on x) and of c2 (on y) is added into that dict by
+    _add_scaled, which deletes each key whose coefficient cancels.  No input
+    is mutated.  x, c2 and y must share c1's context (ContextMismatch otherwise).
     """
     x, c2, y = c1._coerce(x), c1._coerce(c2), c1._coerce(y)
     copies = [(key, c, x._terms) for key, c in c1._terms.items()]
@@ -321,34 +321,15 @@ def _linear(c1: LaurentPoly, x: LaurentPoly, c2: LaurentPoly, y: LaurentPoly) ->
     if not copies:
         return LaurentPoly._make(c1._context, {})
     (key, c, terms), *rest = copies
-    out = _scale_terms({key: c}, terms)
-    get = out.get
-    for key, c, terms in rest:
-        if len(key) == 1:
-            (s,) = key
-            for (e,), v in terms.items():
-                k = (e + s,)
-                v = get(k, 0) + v * c
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-        else:
-            s0, s1 = key
-            for (e0, e1), v in terms.items():
-                k = (e0 + s0, e1 + s1)
-                v = get(k, 0) + v * c
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-    return LaurentPoly._make(c1._context, out)
+    return LaurentPoly._make(c1._context, _add_scaled(_scale_terms({key: c}, terms), rest))
 
 
 # -- multiplication kernels ------------------------------------------------------
 #
 # Each takes two term dicts of one context, `a` the one with fewer terms, and
 # returns a fresh term dict of the product with no zero coefficients.
+# _add_scaled, the one loop that adds shifted, scaled copies into a dict, deletes
+# each key whose coefficient cancels; _linear, _pairwise_terms and _apply use it.
 
 # Kronecker packing beats the pairwise loop once the smaller operand has this
 # many terms.  On the products of the perfbench workloads it loses below 16
@@ -378,11 +359,33 @@ def _pairwise_terms(a: dict, b: dict) -> dict:
                 k = x + y
                 out[k] = get(k, 0) + ca * cb
         return {(k,): v for k, v in out.items() if v}
-    for (x0, x1), ca in a.items():
-        for (y0, y1), cb in b.items():
-            k = (x0 + y0, x1 + y1)
-            out[k] = get(k, 0) + ca * cb
-    return {k: v for k, v in out.items() if v}
+    return _add_scaled(out, [(key, ca, b) for key, ca in a.items()])
+
+
+def _add_scaled(out: dict, copies: Iterable) -> dict:
+    """out, with c * x^shift * terms added for each (shift, c, terms) of
+    copies (c and terms nonzero); each key whose coefficient cancels is deleted."""
+    get = out.get
+    for shift, c, terms in copies:
+        if len(shift) == 1:
+            (s,) = shift
+            for (e,), v in terms.items():
+                k = (e + s,)
+                v = get(k, 0) + v * c
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
+        else:
+            s0, s1 = shift
+            for (e0, e1), v in terms.items():
+                k = (e0 + s0, e1 + s1)
+                v = get(k, 0) + v * c
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
+    return out
 
 
 def _kronecker_terms(a: dict, b: dict) -> dict | None:
@@ -559,7 +562,9 @@ class Substitution:
     and each power of it is built once and kept, finished, for the object's life.
     substitute_monomial takes mono plans only, and raises the ValueError kept
     for the first poly plan.  A mapping passed instead is compiled to one of
-    these first, so both forms raise the same errors.
+    these first, so both forms raise the same errors.  A term with a poly plan
+    becomes a shifted, scaled copy of its power, and one _add_scaled call adds
+    them all, deleting each key whose coefficient cancels.
     """
 
     __slots__ = ("source", "target", "_plans", "_not_units")
@@ -602,7 +607,7 @@ class Substitution:
                 f"not {f.context.names} to {target.names}"
             )
         plans, width = self._plans, len(target)
-        total: dict = {}
+        total, copies = {}, []
         get = total.get
         for exps, c in f._terms.items():
             vec = [0] * width
@@ -637,16 +642,9 @@ class Substitution:
             if power is None:
                 key = tuple(vec)
                 total[key] = get(key, 0) + c
-            elif width == 1:
-                (s,) = vec
-                for (y,), v in power._terms.items():
-                    key = (y + s,)
-                    total[key] = get(key, 0) + c * v
             else:
-                s0, s1 = vec
-                for (y0, y1), v in power._terms.items():
-                    key = (y0 + s0, y1 + s1)
-                    total[key] = get(key, 0) + c * v
+                copies.append((vec, c, power._terms))
+        _add_scaled(total, copies)
         return LaurentPoly._make(target, {k: v for k, v in total.items() if v})
 
 

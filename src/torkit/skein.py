@@ -202,8 +202,14 @@ def fit_ansatz(seq: Mapping[int, LaurentPoly], qhat: LaurentPoly, phat: LaurentP
     returns unpacks as a1, a2 and equals FamilySpec.ansatz.  Every key passes
     odd_index first, so a key that is no knot index raises InvalidTorusIndex.
     qhat and phat must be single terms with coefficient +/-1 (ValueError
-    otherwise) in the sequence's context (ContextMismatch otherwise).
+    otherwise) in the sequence's context (ContextMismatch otherwise).  seq
+    must be a mapping (TypeError otherwise, before anything is read).
     """
+    if not isinstance(seq, Mapping):
+        raise TypeError(
+            f"seq must be a mapping from odd n to P(n), got {type(seq).__name__}; "
+            "pass dict(gen_odd_sequence(...))"
+        )
     indices = sorted((odd_index(n), n) for n in seq)
     for needed in (1, 3):
         if needed not in seq:

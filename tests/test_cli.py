@@ -541,6 +541,19 @@ class TestSubprocess:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "-t^4 + t^3 + t"
 
+    def test_closed_stdout_ends_table_quietly(self):
+        """A reader that stops after one row (`| head -n 1`) ends a table
+        far from its n_max with exit 1 and nothing on stderr."""
+        argv = [sys.executable, "-m", "torkit", "table", "--family", "homfly", "--n-max", "100001"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            try:
+                assert proc.stdout.readline() == b"1\t1\n"
+                proc.stdout.close()
+                _, err = proc.communicate(timeout=60)
+            finally:
+                proc.kill()
+        assert (proc.returncode, err) == (1, b"")
+
     @staticmethod
     def run_declared_script(*argv):
         """Run the ``[project.scripts] torkit`` entry point the way the

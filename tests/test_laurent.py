@@ -338,6 +338,16 @@ class TestSubstitutePoly:
         f = P("q^2 - p^(-2) + 3")
         assert f.substitute_poly(CTX_QP, {"q": "q", "p": "p"}) == f
 
+    @pytest.mark.parametrize("text, expected", [("z - a + a^(-1)", "0"), ("z + a^(-1)", "t")])
+    def test_monomial_terms_cancel_polynomial_pieces(self, text, expected):
+        # Under a -> t, z -> t - t^(-1), the terms of z meet those of the
+        # monomial terms a and a^(-1) and cancel, to zero or to t alone.
+        assignments = {"a": "t", "z": "t - t^(-1)"}
+        for call in both_forms(P(text, CTX_AZ), "substitute_poly", CTX_T, assignments):
+            g = call()
+            assert g == P(expected, CTX_T)
+            assert 0 not in g.terms.values()  # the zero polynomial has empty terms
+
     def test_single_monomials_may_have_negative_exponents(self):
         f = P("a^(-2)*z", CTX_AZ)
         g = f.substitute_poly(CTX_QP, {"a": "q^(1/4)*p^(1/4)", "z": "q - p"})

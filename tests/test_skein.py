@@ -290,6 +290,22 @@ class TestFitAnsatz:
         with pytest.raises(ValueError):
             fit_ansatz(dict(gen_odd_sequence(pair, 9)), 2 * u, v)
 
+    @pytest.mark.parametrize("shape", ["iterator", "list of pairs", "list of keys"])
+    def test_a_sequence_that_is_no_mapping_is_rejected(self, shape):
+        # Read as a mapping, the lazy iterator and the list of its pairs raise
+        # InvalidTorusIndex on their first pair, and [1, 3, 5] an IndexError at seq[3].
+        pair = kp(*JONES_K, CTX_T)
+        u, v = solve_parameters(pair)
+        seq = {
+            "iterator": lambda: gen_odd_sequence(pair, 5),
+            "list of pairs": lambda: list(gen_odd_sequence(pair, 5)),
+            "list of keys": lambda: [1, 3, 5],
+        }[shape]()
+        with pytest.raises(TypeError, match=r"^seq must be a mapping .*dict\(gen_odd_sequence\(\.\.\.\)\)$"):
+            fit_ansatz(seq, u, v)
+        if shape == "iterator":
+            assert next(seq) == (1, LaurentPoly.one(CTX_T))  # nothing was read
+
     def test_parameters_of_another_context_rejected(self):
         seq = dict(gen_odd_sequence(kp(*GEN_K), 9))
         with pytest.raises(ContextMismatch):
