@@ -337,6 +337,15 @@ def _linear(c1: LaurentPoly, x: LaurentPoly, c2: LaurentPoly, y: LaurentPoly) ->
 # 16, 24 and 48 give the same end-to-end times there.
 _KRONECKER_MIN_TERMS = 24
 
+# exact_sqrt packs its argument when each slot of the packed square is at most
+# this many bits wide.  CPython's isqrt divides in quadratic time, so past some
+# width the heap loop wins.  Roots of p*p for the torus values, plain and
+# scaled by 2^k, n = 25 to 1001: packing won or tied at every width up to 144
+# bits (HOMFLY 1.2x at 84 bits, alexander 4x at 144 bits and n = 1001), and
+# lost from 168 bits for HOMFLY and from 200 for generalized Alexander; one
+# variable breaks even near 270 bits.
+_PACKED_SQRT_MAX_BITS = 128
+
 
 def _scale_terms(mono: dict, b: dict) -> dict:
     """b times the single term of mono.  A shift is injective and a product
@@ -403,15 +412,13 @@ def _kronecker_terms(a: dict, b: dict) -> dict | None:
     twice the slots of the plain box there, or the pairwise loop.  Each
     operand becomes one int with a slot every 4*h bits, wide enough for any
     product coefficient, and a single big-int multiply gives every
-    coefficient at once.  Adding 8 in the top hex digit of every slot makes
-    all slots nonnegative, so one hex rendering unpacks them; only
-    power-of-two bases are used, so no int/str digit limit applies.
+    coefficient at once, read back by _unpack.
     """
     cols_a, cols_b = [list(col) for col in zip(*a)], [list(col) for col in zip(*b)]
     if len(cols_a) == 2:
         cols_a[1] = [x0 + x1 for x0, x1 in a]
         cols_b[1] = [x0 + x1 for x0, x1 in b]
-    lows_a, lows_b, strides, spans = _box(cols_a, cols_b)
+    (lows_a, lows_b), strides, spans = _box(cols_a, cols_b)
     slots = prod(spans)
     if 2 * slots > len(a) * len(b):
         return None
@@ -419,41 +426,21 @@ def _kronecker_terms(a: dict, b: dict) -> dict | None:
     h = bound.bit_length() // 4 + 1  # hex digits per slot: room for sign and bound
     packed = _pack(cols_a, a.values(), lows_a, strides, spans, h)
     packed *= _pack(cols_b, b.values(), lows_b, strides, spans, h)
-    empty = "8" + "0" * (h - 1)
-    text = format(packed + int(empty * slots, 16), "x").zfill(slots * h)
-    half = 1 << (4 * h - 1)
-    out = {}
-    top = slots - 1
-    if len(spans) == 1:
-        lo, (stride,) = lows_a[0] + lows_b[0], strides
-        for j in range(slots):
-            chunk = text[j * h : (j + 1) * h]
-            if chunk != empty:
-                out[(lo + (top - j) * stride,)] = int(chunk, 16) - half
-        return out
-    lo0, lo1 = lows_a[0] + lows_b[0], lows_a[1] + lows_b[1]
-    (g0, g1), span1 = strides, spans[1]
-    for j in range(slots):
-        chunk = text[j * h : (j + 1) * h]
-        if chunk != empty:
-            k0, k1 = divmod(top - j, span1)
-            x0 = lo0 + k0 * g0
-            out[(x0, lo1 + k1 * g1 - x0)] = int(chunk, 16) - half
-    return out
+    return _unpack(packed, h, slots, [x + y for x, y in zip(lows_a, lows_b)], strides, spans)
 
 
-def _box(cols_a: list, cols_b: list) -> tuple[list, list, list, list]:
-    """Per coordinate column: each operand's lowest value, the stride common
-    to both operands, and the number of slots the product spans."""
-    lows_a, lows_b, strides, spans = [], [], [], []
-    for xa, xb in zip(cols_a, cols_b):
-        lo_a, lo_b = min(xa), min(xb)
-        stride = gcd(*[x - lo_a for x in xa], *[y - lo_b for y in xb]) or 1
-        lows_a.append(lo_a)
-        lows_b.append(lo_b)
+def _box(*operands: list) -> tuple[list, list, list]:
+    """Per operand, the lowest value of each of its coordinate columns; per
+    column, the stride common to all operands and the number of slots their
+    product spans."""
+    lows = [[min(col) for col in cols] for cols in operands]
+    strides, spans = [], []
+    for j, cols in enumerate(zip(*operands)):
+        steps = [x - low[j] for col, low in zip(cols, lows) for x in col]
+        stride = gcd(*steps) or 1
         strides.append(stride)
-        spans.append((max(xa) - lo_a + max(xb) - lo_b) // stride + 1)
-    return lows_a, lows_b, strides, spans
+        spans.append(sum(max(col) - low[j] for col, low in zip(cols, lows)) // stride + 1)
+    return lows, strides, spans
 
 
 def _pack(cols: list, coeffs: Iterable, lows: list, strides: list, spans: list, h: int) -> int:
@@ -475,6 +462,35 @@ def _pack(cols: list, coeffs: Iterable, lows: list, strides: list, spans: list, 
         else:
             neg[n - 1 - i] = format(-c, fmt)
     return int("".join(pos), 16) - int("".join(neg), 16)
+
+
+def _unpack(packed: int, h: int, slots: int, lows: list, strides: list, spans: list) -> dict:
+    """The terms of `packed`, read as `slots` signed slots of h hex digits on
+    the box of _box's lows, strides and spans, row-major in (x0, x0 + x1)
+    for two variables.  `packed` must lie within the slots' signed range.
+    Adding 8 in the top hex digit of every slot makes all slots nonnegative,
+    so one hex rendering unpacks them; only power-of-two bases are used, so
+    no int/str digit limit applies."""
+    empty = "8" + "0" * (h - 1)
+    text = format(packed + int(empty * slots, 16), "x").zfill(slots * h)
+    half = 1 << (4 * h - 1)
+    out = {}
+    top = slots - 1
+    if len(spans) == 1:
+        (lo,), (stride,) = lows, strides
+        for j in range(slots):
+            chunk = text[j * h : (j + 1) * h]
+            if chunk != empty:
+                out[(lo + (top - j) * stride,)] = int(chunk, 16) - half
+        return out
+    (lo0, lo1), (g0, g1), span1 = lows, strides, spans[1]
+    for j in range(slots):
+        chunk = text[j * h : (j + 1) * h]
+        if chunk != empty:
+            k0, k1 = divmod(top - j, span1)
+            x0 = lo0 + k0 * g0
+            out[(x0, lo1 + k1 * g1 - x0)] = int(chunk, 16) - half
+    return out
 
 
 def _text(f: LaurentPoly, first: dict | None, second: dict) -> str:
@@ -665,21 +681,55 @@ def _power(powers: dict, k: int) -> LaurentPoly:
 def exact_sqrt(f: LaurentPoly) -> LaurentPoly:
     """The exact square root g of f with g*g == f, canonical-positive.
 
-    The leading term of g is the term-wise square root of f's leading term;
-    the remaining terms come from a long-division-style iteration that
-    subtracts the partial square and divides the leading remainder by twice
-    the leading root term.  By convention exact_sqrt(0) == 0 even though
-    zero has no leading term.
+    By convention exact_sqrt(0) == 0 even though zero has no leading term.
+    The leading term of g is the term-wise square root of f's leading term,
+    so a leading coefficient that is not a positive square, or a leading
+    exponent that is odd, proves that f is not a perfect square.  After
+    those three checks one of two paths runs.  Every root satisfies
+    sum g_i^2 <= N = isqrt(sum c^2) over f's coefficients c: on the unit
+    torus Parseval and Cauchy-Schwarz give sum g_i^2 <= ||f||_2.
 
-    The stop rule is a proof, not a step budget.  The Newton polytope of g*g
+    Which path.  An f of at least _KRONECKER_MIN_TERMS terms whose slots
+    (below) are at most _PACKED_SQRT_MAX_BITS wide and whose exponent box
+    holds at most four slots per term tries the packed path.  Everything
+    else takes the heap loop: the 3-term roots of k_to_l, where packing is
+    2-4x slower, wide coefficients (HOMFLY squares from n = 95),
+    sparse boxes, and whatever the packed path cannot prove a root of.  The
+    heap loop alone raises NotAPerfectSquare, so every message is its own.
+
+    The packed path returns only a root it has proved.  It packs f once at
+    B = 2^(4h), on f's own exponent box in the coordinates (x0, x0 + x1)
+    that _kronecker_terms numbers, with signed slots that hold +-N and so
+    every c: F = Q(B^span1, B) for the polynomial Q(y, z) of f's slot rows
+    and columns (one variable: F = Q(B)).  Then G = isqrt(F) must satisfy
+    G * G == F, and G's signed slots, placed at half of f's lowest
+    exponents with f's strides, give g and its P with P(B^span1, B) = G.
+    Two more checks make the evaluation one-to-one on P^2 - Q:
+    sum g_i^2 <= N bounds every coefficient of P^2 by N (Cauchy-Schwarz),
+    so every coefficient of P^2 - Q is smaller than B; and for two
+    variables each slot column k1 of g has 2 * k1 < span1, so P^2 has no
+    column past f's and its terms go to distinct powers of B, as Q's do.
+    A polynomial with coefficients smaller than B whose terms go to
+    distinct powers of B is zero if its value at B is, and P^2 - Q is worth
+    G * G - F = 0 there: P^2 == Q.  That puts f's leading term in slot
+    (2a, 2b) for P's top slot (a, b), so in each coordinate f's lowest
+    exponent has the parity of its leading one, which is even: the halves
+    are exact, no parity check is needed, and g*g == f term for term.
+    G > 0, so g's top slot, its leading term, is positive, and a root is
+    unique up to sign: g is the loop's root.  Slots wider than the cutoff,
+    a box of more than four slots per term (a few far terms would make F
+    huge) or a failed check send f to the loop.
+
+    The heap loop is long division.  It subtracts the partial square and
+    divides the leading remainder by twice the leading root term, and its
+    stop rule is a proof, not a step budget.  The Newton polytope of g*g
     is twice that of g (Ostrowski), so every exponent of a root lies in half
     of f's exponent bounding box.  Each candidate term is strictly smaller in
     lex order than the one before, so the candidates are distinct points of
     that finite box: a candidate outside it, or an inexact division, proves
     that f is not a perfect square, and otherwise the remainder empties.
-    A second bound caps the root: on the unit torus Parseval and Cauchy-Schwarz
-    give sum g_i^2 <= ||f||_2, so each step spends its coefficient's square
-    from isqrt(sum c^2), and the step count is the smaller of the two bounds.
+    Each step spends its coefficient's square from N, and the step count is
+    the smaller of the two bounds.
 
     Each step takes the leading remainder term from a max-heap frontier, not
     from a scan of the remainder.  Keys only fall: the step at r = g_lead + t
@@ -701,11 +751,16 @@ def exact_sqrt(f: LaurentPoly) -> LaurentPoly:
         raise NotAPerfectSquare(f"leading coefficient {_decimal(lc)} is not a perfect square")
     if any(q % 2 for q in lead):
         raise NotAPerfectSquare("leading exponent is not twice a quarter count")
+    norm = isqrt(sum(c * c for c in terms.values()))
+    if len(terms) >= _KRONECKER_MIN_TERMS:
+        g_terms = _packed_sqrt(terms, norm)
+        if g_terms is not None:
+            return LaurentPoly._make(f.context, g_terms)
     box = [(min(col), max(col)) for col in zip(*terms)]
     (lo0, hi0), (lo1, hi1) = box[0], box[-1]
     g0, g1 = lead[0] // 2, lead[-1] // 2
     twice = 2 * root
-    budget = isqrt(sum(c * c for c in terms.values())) - lc
+    budget = norm - lc
 
     # Every key below lies in f's box, so the remainder is kept on int keys,
     # which add and compare several times faster than tuples: x0*w + x1, with
@@ -767,6 +822,32 @@ def exact_sqrt(f: LaurentPoly) -> LaurentPoly:
     else:
         g_terms = {(t_key,): c // 2 for t_key, c in doubled}
     return LaurentPoly._make(f.context, g_terms)
+
+
+def _packed_sqrt(terms: dict, norm: int) -> dict | None:
+    """exact_sqrt's packed path: the root's terms, proved as its docstring
+    says, or None.  terms are f's, norm is N = isqrt(sum c^2)."""
+    h = norm.bit_length() // 4 + 1  # slots hold +-norm, so every c and every g_i too
+    if 4 * h > _PACKED_SQRT_MAX_BITS:
+        return None
+    cols = [list(col) for col in zip(*terms)]
+    if len(cols) == 2:
+        cols[1] = [x0 + x1 for x0, x1 in terms]
+    (lows,), strides, spans = _box(cols)
+    if prod(spans) > 4 * len(terms):
+        return None
+    packed = _pack(cols, terms.values(), lows, strides, spans, h)
+    root = isqrt(packed)
+    if root * root != packed:
+        return None
+    halves = [lo // 2 for lo in lows]
+    # G's base-B digits, plus one slot: a signed top slot may carry into the next.
+    g_terms = _unpack(root, h, root.bit_length() // (4 * h) + 2, halves, strides, spans)
+    if sum(c * c for c in g_terms.values()) > norm:
+        return None
+    if len(spans) == 2 and 2 * (max(x0 + x1 for x0, x1 in g_terms) - halves[1]) >= strides[1] * spans[1]:
+        return None
+    return g_terms
 
 
 # -- parsing ---------------------------------------------------------------

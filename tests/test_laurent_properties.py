@@ -4,6 +4,7 @@ evaluation mod p as a ring map."""
 
 from __future__ import annotations
 
+import heapq
 import json
 import operator
 from math import gcd, isqrt
@@ -26,13 +27,17 @@ from conftest import (
 from test_multiply import schoolbook_mul
 from torkit import (
     FAMILIES,
+    JONES,
     LaurentPoly,
     NotAPerfectSquare,
     Substitution,
     VarContext,
+    alexander_torus,
     exact_sqrt,
     from_json,
+    homfly_torus,
     jones_number,
+    k_to_l,
     parse,
     q_number,
     qp_number,
@@ -40,6 +45,7 @@ from torkit import (
     to_json_obj,
     uv_number,
 )
+from torkit import laurent
 from torkit.laurent import _BIG, _decimal
 
 
@@ -185,12 +191,129 @@ def sqrt_arguments(draw):
     return f
 
 
-@given(sqrt_arguments())
+@st.composite
+def packed_sqrt_arguments(draw):
+    """Arguments that reach exact_sqrt's packed path: at least
+    _KRONECKER_MIN_TERMS terms on dense exponents, in one or two variables,
+    with coefficients far narrower than its slot-width cutoff.  A square g*g,
+    its negation, g*g plus or minus one term inside its box, or the product
+    of two torus values of one family with n <= 301.  g fills an interval,
+    a square or, like the generalized Alexander values, three antidiagonals."""
+    kind = draw(st.sampled_from(("square", "negated square", "square plus a term", "torus product")))
+    if kind == "torus product":
+        family = FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))]
+        odd = st.integers(6, 150).map(lambda m: 2 * m + 1)
+        return family.value(draw(odd)) * family.value(draw(odd))
+    context = draw(st.sampled_from((CTX_T, CTX_QP)))
+    stride = draw(st.sampled_from((1, 2, 4)))
+    offset = [draw(st.integers(-40, 40)) for _ in context.names]
+    if len(context) == 1:
+        cells = [(i,) for i in range(draw(st.integers(13, 40)))]
+    elif draw(st.booleans()):
+        side = draw(st.integers(4, 6))
+        cells = [(i, j) for i in range(side) for j in range(side)]
+    else:
+        cells = [(i, r - i) for i in range(draw(st.integers(6, 20))) for r in range(3)]
+    coeff = st.integers(-(2 ** 20), 2 ** 20).filter(bool)
+    g = LaurentPoly(context, {tuple(o + stride * k for o, k in zip(offset, cell)): draw(coeff) for cell in cells})
+    f = g * g
+    if kind == "negated square":
+        return -f
+    if kind == "square plus a term":
+        exps = tuple(draw(st.integers(min(col), max(col))) for col in zip(*f.terms))
+        f = f + LaurentPoly(context, {exps: draw(st.sampled_from((-1, 1))) * draw(st.integers(1, 2 ** 40))})
+    return f
+
+
+@given(st.one_of(sqrt_arguments(), packed_sqrt_arguments()))
 @example(parse("1 + 4*t^(-1) + t^(-200)", CTX_T))  # stopped by the norm bound
 @example(parse("q^(1/4)*p^2", CTX_QP))  # odd quarter in the leading exponent
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 def test_sqrt_matches_the_scanning_oracle(f):
     assert sqrt_outcome(exact_sqrt, f) == sqrt_outcome(scan_sqrt, f)
+
+
+def slots(context: VarContext, cells: dict) -> LaurentPoly:
+    """The polynomial with coefficient c in slot row k0, column k1 of the
+    packed path's (x0, x0 + x1) box, for each (k0, k1): c of cells; in one
+    variable, slot k is t^(k/4)."""
+    if len(context) == 1:
+        return LaurentPoly(context, {(k,): c for k, c in cells.items()})
+    return LaurentPoly(context, {(k0, k1 - k0): c for (k0, k1), c in cells.items()})
+
+
+P_SLOT_3 = slots(CTX_T, {k: 198 if k == 3 else 1 for k in range(13)})
+P_COLUMN_4 = slots(
+    CTX_QP, {(0, 0): 1, (0, 2): 1, (0, 4): -1, (1, 0): -2, (1, 4): 2, (2, 1): 3, (2, 4): -1, (3, 0): 2, (3, 1): 1}
+)
+
+# Each f below passes every check of exact_sqrt's packed path but the one
+# named, and is no square: a packed path without that check returns P.
+PACKED_CHECK_CASES = {
+    # isqrt(F) is P's packed int, and F is one more than its square.
+    "root squared is the packed square": P_SLOT_3 * P_SLOT_3 + 1,
+    # Slots are 16 bits wide here.  Slot 6 of P*P holds 198^2 + 6, past a
+    # signed slot, so f holds that minus 2^16 there and 1 carried into
+    # slot 7: F is P's packed int squared, and only the norm bound sees
+    # that P*P's coefficient is too wide for f.
+    "norm bound": P_SLOT_3 * P_SLOT_3 - slots(CTX_T, {6: 2 ** 16, 7: -1}),
+    # f's box is five slot columns wide.  P has terms in columns up to 4,
+    # so P*P reaches column 8, and f moves each term of P*P in column
+    # k1 >= 5 to column k1 - 5 of the next row, where the packed int puts it.
+    "column bound": LaurentPoly(
+        CTX_QP,
+        [
+            ((x0 + 1, x1 - 6) if x0 + x1 >= 5 else (x0, x1), c)
+            for (x0, x1), c in (P_COLUMN_4 * P_COLUMN_4).terms.items()
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("f", PACKED_CHECK_CASES.values(), ids=PACKED_CHECK_CASES)
+def test_each_packed_check_meets_an_input_only_it_rejects(f):
+    assert f.num_terms >= laurent._KRONECKER_MIN_TERMS
+    assert sqrt_outcome(exact_sqrt, f) == sqrt_outcome(scan_sqrt, f)
+    assert sqrt_outcome(scan_sqrt, f)[0] == "not a square"
+
+
+def test_a_sparse_box_is_never_packed(monkeypatch):
+    # 47 terms over about 10^6 slots: packed, this would be a 24-Mbit isqrt.
+    f = parse("1 + 4*t^(-1) + t^(-1000000)", CTX_T) * parse("1 + t^(-1)", CTX_T) ** 22
+    expected = sqrt_outcome(scan_sqrt, f)
+
+    def refuse(*args):
+        raise AssertionError("packed a box of far more slots than terms")
+
+    monkeypatch.setattr(laurent, "_pack", refuse)
+    assert sqrt_outcome(exact_sqrt, f) == expected
+
+
+def root_of_square(build, n: int) -> None:
+    value = build(n)
+    root = exact_sqrt(value * value)
+    assert root == value or root == -value
+
+
+@pytest.mark.parametrize(
+    "call, pops",
+    [
+        (lambda: root_of_square(alexander_torus, 1001), False),  # narrow: the packed path
+        (lambda: root_of_square(homfly_torus, 301), True),  # slots past the width cutoff
+        (lambda: k_to_l(JONES.knot_step), True),  # roots of fewer than _KRONECKER_MIN_TERMS terms
+    ],
+    ids=["alexander 1001 squared", "homfly 301 squared", "k_to_l jones"],
+)
+def test_which_path_takes_a_root(monkeypatch, call, pops):
+    popped = []
+
+    def counting_heappop(heap):
+        popped.append(1)
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(laurent, "heappop", counting_heappop)
+    call()
+    assert (len(popped) > 0) == pops
 
 
 def assert_canonical(f: LaurentPoly) -> None:
