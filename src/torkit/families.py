@@ -206,7 +206,7 @@ def homfly_torus(n: int) -> LaurentPoly:
     return HOMFLY.value(n)
 
 
-# Compiled once, so homfly_to_generalized keeps the powers of z it builds.
+# Compiled once: each value is parsed and checked here, not on every call.
 _TO_ALEXANDER = Substitution(QP_CTX, T_CTX, {"q": "t", "p": "t^(-1)"})
 _TO_JONES = Substitution(QP_CTX, T_CTX, {"q": "t^3", "p": "t"})
 _HOMFLY_TO_GENERALIZED = Substitution(

@@ -9,8 +9,6 @@ used to normalize the sign of exact square roots.
 
 Polynomials are immutable after construction and every operation is a pure
 function of its inputs, so polynomials can be shared freely across threads.
-A compiled Substitution keeps the powers of its values that it builds, so
-later calls reuse them; that table is its only state.
 """
 
 from __future__ import annotations
@@ -20,6 +18,7 @@ import re
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, prod
+from operator import itemgetter
 from typing import Iterable, Mapping, Union
 
 
@@ -255,14 +254,13 @@ class LaurentPoly:
             if sign not in (1, -1):
                 raise ValueError("only +/-1 terms invert exactly")
             return LaurentPoly._make(self._context, {tuple(e * q for q in key): sign ** (e % 2)})
-        result = LaurentPoly.one(self._context)
-        base = self
+        result, base = None, self
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if e > 1 else base
             e >>= 1
-        return result
+        return LaurentPoly.one(self._context) if result is None else result
 
     # -- substitution ----------------------------------------------------------
 
@@ -329,7 +327,7 @@ def _linear(c1: LaurentPoly, x: LaurentPoly, c2: LaurentPoly, y: LaurentPoly) ->
 # Each takes two term dicts of one context, `a` the one with fewer terms, and
 # returns a fresh term dict of the product with no zero coefficients.
 # _add_scaled, the one loop that adds shifted, scaled copies into a dict, deletes
-# each key whose coefficient cancels; _linear, _pairwise_terms and _apply use it.
+# each key whose coefficient cancels; _linear, _pairwise_terms, _apply and _horner use it.
 
 # Kronecker packing beats the pairwise loop once the smaller operand has this
 # many terms.  On the products of the perfbench workloads it loses below 16
@@ -574,20 +572,18 @@ class Substitution:
     once, for substitute_poly or substitute_monomial in place of a mapping.
     Each value is a LaurentPoly of `target` or text that parses in it.
     A variable assigned a single +/-1 term (a "mono" plan) takes any exponent;
-    one assigned anything else (a "poly" plan) takes whole exponents >= 0,
-    and each power of it is built once and kept, finished, for the object's life.
+    one assigned anything else (a "poly" plan) takes whole exponents >= 0.
     substitute_monomial takes mono plans only, and raises the ValueError kept
     for the first poly plan.  A mapping passed instead is compiled to one of
-    these first, so both forms raise the same errors.  A term with a poly plan
-    becomes a shifted, scaled copy of its power, and one _add_scaled call adds
-    them all, deleting each key whose coefficient cancels.
+    these first, so both forms raise the same errors.  The object holds only
+    its plans, so no call changes what a later one computes.
     """
 
     __slots__ = ("source", "target", "_plans", "_not_units")
 
     def __init__(self, source: VarContext, target: VarContext, assignments: Mapping[str, object]):
         self.source, self.target = source, target
-        # Per variable (name, sign, shifts, powers); a mono plan has powers None.
+        # Per variable (name, sign, shifts, value); a mono plan has value None.
         self._plans = []
         self._not_units = ""
         for name in source.names:
@@ -606,7 +602,7 @@ class Substitution:
             if sign in (1, -1):
                 self._plans.append((name, sign, tuple((j, q) for j, q in enumerate(key) if q), None))
             else:
-                self._plans.append((name, None, None, {1: value, 2: value * value}))
+                self._plans.append((name, None, None, value))
                 if not self._not_units:
                     self._not_units = f"assignment for {name!r} " + (
                         f"must have coefficient +1 or -1, got {_decimal(sign)}" if sign else "must be a single monomial"
@@ -616,22 +612,40 @@ class Substitution:
                 raise UnknownVariable(f"assignment for {name!r}, which is not in {source.names}")
 
     def _apply(self, f: LaurentPoly, target: VarContext) -> LaurentPoly:
-        """f with each term's mono shifts applied and its poly powers scaled into one sum."""
+        """f with each term's mono shifts applied.  Every term is checked
+        before anything is packed.  With poly plans, the terms are grouped by
+        their shift and, if both plans are poly, by the first one's power; each
+        group, a polynomial in the last poly value, is evaluated by _horner
+        and times that power of the first value, and _add_scaled adds them."""
         if (f.context, target) != (self.source, self.target):
             raise ContextMismatch(
                 f"substitution maps {self.source.names} to {self.target.names}, "
                 f"not {f.context.names} to {target.names}"
             )
         plans, width = self._plans, len(target)
-        total, copies = {}, []
-        get = total.get
+        poly = [i for i, plan in enumerate(plans) if plan[3] is not None]
+        last = poly[-1] if poly else 0
+        # Terms that agree but for the last poly variable share a group and a
+        # sign, and pass the others' checks once: seen maps the rest of the
+        # exponents to both.
+        rest = itemgetter(slice(0, 0) if len(plans) == 1 else 1 - last)
+        total, groups, seen = {}, {}, {}
+        get, known = total.get, seen.get
         for exps, c in f._terms.items():
+            if poly:
+                e = exps[last]
+                hit = known(rest(exps))
+                if hit and e >= 0 and not e & 3:
+                    group, sign = hit
+                    j = e >> 2
+                    group[j] = group.get(j, 0) + sign * c
+                    continue
             vec = [0] * width
-            power = None
-            for e, (name, sign, shifts, powers) in zip(exps, plans):
+            flip = False
+            for e, (name, sign, shifts, value) in zip(exps, plans):
                 if e == 0:
                     continue
-                if powers is None:
+                if value is None:
                     for j, me in shifts:
                         num = e * me
                         if num % 4:
@@ -642,8 +656,7 @@ class Substitution:
                     if sign < 0:
                         if e % 4:
                             raise NonIntegralExponent("sign -1 cannot be raised to a fractional power")
-                        if (e // 4) % 2:
-                            c = -c
+                        flip ^= (e // 4) % 2
                     continue
                 if e < 0:
                     raise NegativePowerOfPolynomial(
@@ -653,26 +666,100 @@ class Substitution:
                     raise NonIntegralExponent(
                         f"{name!r} appears with a fractional exponent but is assigned a general polynomial"
                     )
-                g = _power(powers, e // 4)
-                power = g if power is None else power * g
-            if power is None:
-                key = tuple(vec)
-                total[key] = get(key, 0) + c
+            key = tuple(vec)
+            if poly:
+                group = groups.setdefault(exps[0] // 4 if len(poly) == 2 else 0, {}).setdefault(key, {})
+                seen[rest(exps)] = group, -1 if flip else 1
+                j = exps[last] // 4
+                group[j] = group.get(j, 0) + (-c if flip else c)
             else:
-                copies.append((vec, c, power._terms))
-        _add_scaled(total, copies)
-        return LaurentPoly._make(target, {k: v for k, v in total.items() if v})
+                total[key] = get(key, 0) + (-c if flip else c)
+        if not poly:
+            return LaurentPoly._make(target, {k: v for k, v in total.items() if v})
+        pieces = []
+        for k, shifted in groups.items():
+            terms = _horner(plans[last][3], shifted)
+            if k and terms:
+                terms = (LaurentPoly._make(target, terms) * plans[0][3] ** k)._terms
+            pieces.append(terms)
+        total = pieces.pop() if pieces else {}
+        _add_scaled(total, [((0,) * width, 1, terms) for terms in pieces])
+        return LaurentPoly._make(target, total)
 
 
-def _power(powers: dict, k: int) -> LaurentPoly:
-    """g^k, k >= 1, from a table holding g and g^2.  A missing power is built
-    from the nearest one of k's parity by steps of g^2, each kept."""
-    j = k
-    while j not in powers:
-        j -= 2
-    for j in range(j, k, 2):
-        powers[j + 2] = powers[j] * powers[2]
-    return powers[k]
+def _horner(value: LaurentPoly, groups: dict) -> dict:
+    """The terms of the sum of c * x^shift * value^j over the (j, c) of
+    each (shift, coeffs) of groups, j >= 0.
+
+    With g the gcd of all the j, each group is x^shift F(v) for v = value^g
+    and F(Y) = sum c Y^(j/g) of degree at most D.  Write v = X^L V with L v's
+    lowest exponents.  F(v) is one int (Kronecker packing, as in
+    _kronecker_terms) on the box of degree-D sums of v in the coordinates
+    (x0, x0 + x1), with strides that divide every exponent of v, so 0 too.
+    Horner's rule: after k steps acc packs the partial sum times X^(-base)
+    for base = min(0, -D L) + k L, so every slot index is >= 0; a step
+    multiplies acc by V as one shifted, scaled copy per term of V (a power
+    of two in a coefficient joins the shift) and adds c at the slot of
+    X^(-base).  At k = D, base = min(0, D L).  Every coefficient of F(v) is
+    at most sum |c| * ||v||_1^(j/g) in size, which sets the group's slot
+    width; so the final int, though no step before it need be, is read back
+    by _unpack at the group's shift, and one _add_scaled call merges the
+    groups.
+
+    Inputs with fewer than a quarter of the D + 1 powers per group (say
+    z^400 + z) are summed term by term instead, one power at a time.
+    """
+    g = gcd(*[j for coeffs in groups.values() for j in coeffs])
+    v = (value ** g)._terms if g else {}
+    if not v:  # only j = 0 counts
+        return {shift: coeffs[0] for shift, coeffs in groups.items() if coeffs.get(0)}
+    degree = max(map(max, groups.values())) // g
+    if 4 * sum(map(len, groups.values())) < (degree + 1) * len(groups):
+        copies = [(shift, c, (value ** j)._terms) for shift, coeffs in groups.items() for j, c in coeffs.items() if c]
+        return _add_scaled({}, copies)
+    two = len(next(iter(v))) == 2
+    points = [(x0, x0 + x1) for x0, x1 in v] if two else list(v)
+    lows, strides, base, spans = [], [], [], []
+    top = move = 0  # slot indices, row-major: of the first c, and the move of each next c
+    for col in zip(*points):
+        lo, stride = min(col), gcd(*col) or 1
+        low = min(0, degree * lo)
+        span = (max(0, degree * max(col)) - low) // stride + 1
+        top, move = top * span + max(0, degree * lo) // stride, move * span + lo // stride
+        lows.append(lo), strides.append(stride), base.append(low), spans.append(span)
+    # Each term of V as (slot, twos, c) with c odd: 2^twos moves into its bits.
+    steps = []
+    for point, c in zip(points, v.values()):
+        slot = (point[0] - lows[0]) // strides[0]
+        if two:
+            slot = slot * spans[1] + (point[1] - lows[1]) // strides[1]
+        twos = (c & -c).bit_length() - 1
+        steps.append((slot, twos, c >> twos))
+    steps.sort()
+    norm, slots = sum(map(abs, v.values())), prod(spans)
+    pieces = []
+    for shift, coeffs in groups.items():
+        h = sum(abs(c) * norm ** (j // g) for j, c in coeffs.items()).bit_length() // 4 + 1
+        (first, lead), *copies = [(4 * h * i + twos, c) for i, twos, c in steps]
+        acc, at, down = 0, 4 * h * top, 4 * h * move
+        for c in map(coeffs.get, range(degree * g, -1, -g)):
+            if acc:
+                product = acc << first if lead == 1 else lead * (acc << first)
+                for bits, k in copies:
+                    if k == 1:
+                        product += acc << bits
+                    elif k == -1:
+                        product -= acc << bits
+                    else:
+                        product += k * (acc << bits)
+                acc = product
+            if c:
+                acc += c << at
+            at -= down
+        low = [b + x for b, x in zip(base, (shift[0], sum(shift)) if two else shift)]
+        pieces.append(_unpack(acc, h, slots, low, strides, spans))
+    zero = (0,) * len(lows)
+    return _add_scaled(pieces.pop(), [(zero, 1, terms) for terms in pieces])
 
 
 # -- exact square root -------------------------------------------------------

@@ -32,6 +32,7 @@ from torkit import (
     to_json,
     to_json_obj,
 )
+from torkit import laurent
 from torkit.laurent import _digits_int, _text, decimal_int
 
 
@@ -390,8 +391,9 @@ class TestSubstitutePoly:
         with pytest.raises(ContextMismatch):
             P("a", CTX_AZ).substitute_poly(CTX_T, sub)
 
-    def test_failed_call_leaves_the_power_table_sound(self):
-        # z^6 and z^10 are built and kept before the z^(-1) term raises.
+    def test_failed_call_leaves_the_substitution_sound(self):
+        # The z^(-1) term raises after z^6 and z^10 are read, and the same
+        # object then substitutes as if it had never been called.
         assignments = {"a": "q^(1/4)*p^(1/4)", "z": "q - 2*p"}
         sub = Substitution(CTX_AZ, CTX_QP, assignments)
         bad = LaurentPoly(CTX_AZ, [((0, 24), 1), ((4, 40), 1), ((0, -4), 1)])
@@ -402,6 +404,32 @@ class TestSubstitutePoly:
         expected = P("q^(1/4)*p^(1/4)") * z ** 10 - 3 * z ** 6 + z ** 8 + P("q^(-1/2)*p^(-1/2)") * z ** 3
         assert good.substitute_poly(CTX_QP, sub) == expected
         assert good.substitute_poly(CTX_QP, assignments) == expected
+
+    @pytest.mark.parametrize("first", [True, False])
+    @pytest.mark.parametrize(
+        "a, bad, error, message",
+        [
+            ("q^(1/4)*p^(1/4)", (80, -4), NegativePowerOfPolynomial,
+             "'z' appears with a negative exponent but is assigned a general polynomial"),
+            ("q^(1/4)*p^(1/4)", (88, 6), NonIntegralExponent,
+             "'z' appears with a fractional exponent but is assigned a general polynomial"),
+            ("q^(1/4)*p^(1/4)", (1, 0), NonIntegralExponent,
+             "substitution would need an exponent finer than quarter units"),
+            ("-q", (2, 8), NonIntegralExponent, "sign -1 cannot be raised to a fractional power"),
+        ],
+    )
+    def test_a_bad_term_raises_before_anything_is_packed(self, monkeypatch, a, bad, error, message, first):
+        # The bad term comes first or last after a HOMFLY value's terms,
+        # which alone would be packed; a bad power of z shares its power of a
+        # (a^20 or a^22) with some of them.
+        def packed(*args):
+            raise AssertionError("packed before every term was checked")
+
+        good = list(homfly_torus(21).terms.items())
+        f = LaurentPoly(CTX_AZ, [(bad, 1)] + good if first else good + [(bad, 1)])
+        monkeypatch.setattr(laurent, "_horner", packed)
+        assignments = {"a": a, "z": "q^(1/4)*p^(-1/4) - q^(-1/4)*p^(1/4)"}
+        assert_raises_in_both_forms(error, message, f, "substitute_poly", CTX_QP, assignments)
 
     def test_agrees_with_substitute_monomial_on_monomial_maps(self):
         f = P("q^2 - 3*q*p + p^(-1)")

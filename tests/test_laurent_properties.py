@@ -35,6 +35,8 @@ from torkit import (
     alexander_torus,
     exact_sqrt,
     from_json,
+    generalized_alexander_torus,
+    homfly_to_generalized,
     homfly_torus,
     jones_number,
     k_to_l,
@@ -45,7 +47,7 @@ from torkit import (
     to_json_obj,
     uv_number,
 )
-from torkit import laurent
+from torkit import families, laurent
 from torkit.laurent import _BIG, _decimal
 
 
@@ -375,8 +377,10 @@ def test_q_numbers_are_canonical(build, names):
 
 
 def naive_substitute(f: LaurentPoly, target, assignments: dict) -> LaurentPoly:
-    """Term by term: each variable's value raised by schoolbook products, no table."""
+    """Term by term: each variable's value raised by schoolbook products, each
+    power built once per call, by one product from the power below it."""
     total: dict = {}
+    powers: dict = {}
     for exps, coeff in f.terms.items():
         piece = LaurentPoly.constant(target, coeff)
         for name, e in zip(f.context.names, exps):
@@ -389,8 +393,10 @@ def naive_substitute(f: LaurentPoly, target, assignments: dict) -> LaurentPoly:
             else:
                 assert e >= 0 and e % 4 == 0
                 factor = LaurentPoly.one(target)
-                for _ in range(e // 4):
-                    factor = schoolbook_mul(factor, g)
+                for k in range(1, e // 4 + 1):
+                    if (name, k) not in powers:
+                        powers[name, k] = schoolbook_mul(factor, g)
+                    factor = powers[name, k]
             piece = schoolbook_mul(piece, factor)
         for key, c in piece.terms.items():
             total[key] = total.get(key, 0) + c
@@ -423,8 +429,8 @@ def substitution_runs(draw):
 @given(substitution_runs())
 @settings(max_examples=150, deadline=None)
 def test_compiled_substitution_matches_naive_expansion(run):
-    # One Substitution serves the whole sequence, so its power table is cold
-    # for the first input and warm or partly warm for the rest.
+    # One Substitution serves the whole sequence, and each call must be a
+    # function of its input alone, whatever was substituted before it.
     target, assignments, inputs = run
     sub = Substitution(CTX_AZ, target, assignments)
     units = all(g.num_terms == 1 and abs(leading_coefficient(g)) == 1 for g in assignments.values())
@@ -434,6 +440,90 @@ def test_compiled_substitution_matches_naive_expansion(run):
         assert f.substitute_poly(target, assignments) == expected
         if units:
             assert f.substitute_monomial(target, sub) == expected
+
+
+HOMFLY_TO_QP = {"a": "q^(1/4)*p^(1/4)", "z": "q^(1/4)*p^(-1/4) - q^(-1/4)*p^(1/4)"}
+
+
+def parsed(assignments: dict, target: VarContext = CTX_QP) -> dict:
+    return {name: parse(text, target) for name, text in assignments.items()}
+
+
+def test_homfly_bridge_matches_naive_expansion():
+    values = parsed(HOMFLY_TO_QP)
+    for n in range(1, 102, 2):
+        f = homfly_torus(n)
+        assert homfly_to_generalized(f) == naive_substitute(f, CTX_QP, values)
+
+
+@pytest.mark.parametrize(
+    "text, a, z",
+    [
+        # Odd powers of z: dense enough to be packed, and so sparse that
+        # each term is summed alone.
+        ("7 + z - 2*z^2 + 3*z^3 - z^4 + 5*z^5 - a*z^3 + a*z^2", "q^(1/2)", "q - 2*p"),
+        ("z^41 - a^2*z", "q*p", "q^(1/4)*p^(-1/4) - q^(-1/4)*p^(1/4)"),
+        # Both values are polynomials: grouped by the power of a.
+        ("a^2*z^3 - a*z + 3*a^3 + z^2 - 5", "q + 2*p", "q^(1/2) - p"),
+        ("a*z^2 + a^2*z + a^3 + z^3", "q - p", "q + p"),
+        # A zero value, and a single term that is not a unit.
+        ("a*z^2 - 3*z + a^2 + 4", "0", "q - p"),
+        ("z^3 - a*z^2 + a*z - 2 + z^2", "q", "3*q^(-1/2)*p"),
+    ],
+)
+def test_substitution_edges_match_naive_expansion(text, a, z):
+    values = parsed({"a": a, "z": z})
+    f = parse(text, CTX_AZ)
+    assert f.substitute_poly(CTX_QP, values) == naive_substitute(f, CTX_QP, values)
+
+
+@pytest.mark.parametrize(
+    "text, a, z",
+    [
+        ("a - z", "q", "q"),  # two monomials
+        ("2*a - z", "q", "2*q"),  # two shifts of one packed sum
+        ("a - z", "q + 1", "q + 1"),  # two powers of a, merged after packing
+        ("a*z - z^2", "q - p", "q - p"),
+    ],
+)
+def test_images_that_cancel_to_zero(text, a, z):
+    values = parsed({"a": a, "z": z})
+    f = parse(text, CTX_AZ)
+    g = f.substitute_poly(CTX_QP, values)
+    assert g.terms == {}
+    assert g == naive_substitute(f, CTX_QP, values)
+
+
+@pytest.mark.parametrize("z, a", [("2*q", "q"), ("-2*q^(1/2)*p^(-1/4)", "q^(1/2)*p^(-1/4)"), ("2", "1")])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("k", range(1, 14))
+def test_slot_width_at_a_power_of_two(k, sign, z, a):
+    # The slots are sized from the sum of |c_j| * ||z||_1^j, here 2^k and then
+    # 2^(k+1), and the result's one coefficient reaches that bound.  k runs
+    # far enough that each slot width from 4 to 16 bits holds the largest
+    # power of two it has room for.  In the second sum a^k is z^k's monomial:
+    # two shifts, or for z = 2 two powers of z, meet in one slot.
+    values = parsed({"a": a, "z": z})
+    ((key, c),) = values["z"].terms.items()
+    image = tuple(k * q for q in key)
+    for f, coeff in (
+        (LaurentPoly(CTX_AZ, {(0, 4 * k): sign}), sign * c**k),
+        (LaurentPoly(CTX_AZ, {(0, 4 * k): sign, (4 * k, 0): sign * c**k}), 2 * sign * c**k),
+    ):
+        g = f.substitute_poly(CTX_QP, values)
+        assert g == LaurentPoly(CTX_QP, {image: coeff}) == naive_substitute(f, CTX_QP, values)
+
+
+def test_a_compiled_substitution_keeps_no_state():
+    # The same object, torus values in descending n and then ascending n:
+    # equal results, and plans equal to a snapshot taken before the calls.
+    sub = families._HOMFLY_TO_GENERALIZED
+    snapshot = [(name, sign, shifts, value and value.terms) for name, sign, shifts, value in sub._plans]
+    ns = range(1, 62, 2)
+    down = {n: homfly_torus(n).substitute_poly(CTX_QP, sub) for n in reversed(ns)}
+    up = {n: homfly_torus(n).substitute_poly(CTX_QP, sub) for n in ns}
+    assert down == up == {n: generalized_alexander_torus(n) for n in ns}
+    assert [(name, sign, shifts, value and value.terms) for name, sign, shifts, value in sub._plans] == snapshot
 
 
 @given(nonzero_polys(max_terms=5, quarter_bound=12))
