@@ -1,0 +1,207 @@
+#!/usr/bin/env python3
+"""Mutant gate: each fast kernel check must be one that some test needs.
+
+Every row of MUTANTS names a file under src/, a snippet that must occur in
+it exactly once, the snippet's replacement (a deliberately broken check),
+and the pytest node that must then fail.  The script copies src/ and
+tests/ to a temporary directory and, for each row, applies the mutant to
+the copy and runs that node there; the working tree is never changed.
+Before that, every named node must pass on an unchanged copy.
+
+The gate fails, naming the row, when a snippet does not occur exactly once
+(the code moved on and the row must be rewritten), when the unchanged nodes
+fail, or when a mutant survives (its node passes).  Stdlib only:
+
+    python scripts/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+LAURENT = "torkit/laurent.py"
+QNUMBERS = "torkit/qnumbers.py"
+SKEIN_TESTS = "tests/test_skein.py"
+PROPERTIES = "tests/test_laurent_properties.py"
+
+# (name, file under src/, snippet, replacement, pytest node that must fail)
+MUTANTS = [
+    # The packed recurrence kernel, laurent._packed_steps.
+    (
+        "recurrence: a bound of exactly `width` bits kept in `width`-bit slots (no sign bit)",
+        LAURENT,
+        "if bound.bit_length() >= width or (r1 > r0",
+        "if bound.bit_length() > width or (r1 > r0",
+        f"{SKEIN_TESTS}::test_slot_width_bound_is_tight_at_every_width",
+    ),
+    (
+        "recurrence: slots one byte too narrow at each new width",
+        LAURENT,
+        "width = max(width, 8, 1 << bound.bit_length().bit_length())",
+        "width = max(width, 8, 1 << (bound.bit_length() - 1).bit_length())",
+        f"{SKEIN_TESTS}::test_slot_width_bound_is_tight_at_every_width",
+    ),
+    (
+        "recurrence: row span bound off by one",
+        LAURENT,
+        "(r1 > r0 and k1 - k0 >= cols)",
+        "(r1 > r0 and k1 - k0 > cols)",
+        f"{SKEIN_TESTS}::test_row_span_bound_meets_its_edge",
+    ),
+    (
+        "recurrence: no hand-over to _linear past 64-bit slots",
+        LAURENT,
+        "if bound.bit_length() >= 64:\n                return",
+        "if False:\n                return",
+        f"{SKEIN_TESTS}::test_which_kernel_steps_each_entry",
+    ),
+    (
+        "recurrence: the inherited bounds tightened to each other's maxima",
+        LAURENT,
+        "old[2], new[2] = (max(",
+        "new[2], old[2] = (max(",
+        f"{SKEIN_TESTS}::test_fused_steps_match_the_naive_stepper[homfly]",
+    ),
+    (
+        "recurrence: kept one-variable keys read one slot late",
+        LAURENT,
+        "keys = known[k0 - low : k1 - low + 1]",
+        "keys = known[k0 - low + 1 : k1 - low + 2]",
+        f"{SKEIN_TESTS}::test_fused_steps_match_the_naive_stepper[alexander]",
+    ),
+    (
+        "recurrence: no small-entry cutoff",
+        QNUMBERS,
+        "while cur.num_terms < _PACKED_MIN_TERMS:",
+        "while cur.num_terms < 0:",
+        f"{SKEIN_TESTS}::test_which_kernel_steps_each_entry",
+    ),
+    # exact_sqrt's packed path, laurent._packed_sqrt.
+    (
+        "sqrt: no G * G == F check",
+        LAURENT,
+        "    if root * root != packed:\n        return None",
+        "",
+        f"{PROPERTIES}::test_each_packed_check_meets_an_input_only_it_rejects[root squared is the packed square]",
+    ),
+    (
+        "sqrt: no norm bound",
+        LAURENT,
+        "    if sum(c * c for c in g_terms.values()) > norm:\n        return None",
+        "",
+        f"{PROPERTIES}::test_each_packed_check_meets_an_input_only_it_rejects[norm bound]",
+    ),
+    (
+        "sqrt: no column bound",
+        LAURENT,
+        "if len(spans) == 2 and 2 * (max(x0 + x1 for x0, x1 in g_terms)",
+        "if False and 2 * (max(x0 + x1 for x0, x1 in g_terms)",
+        f"{PROPERTIES}::test_each_packed_check_meets_an_input_only_it_rejects[column bound]",
+    ),
+    (
+        "sqrt: no box guard",
+        LAURENT,
+        "    if prod(spans) > 4 * len(terms):\n        return None",
+        "",
+        f"{PROPERTIES}::test_a_sparse_box_is_never_packed",
+    ),
+    (
+        "sqrt: no width cutoff",
+        LAURENT,
+        "    if 4 * h > _PACKED_SQRT_MAX_BITS:\n        return None",
+        "",
+        f"{PROPERTIES}::test_which_path_takes_a_root[homfly 301 squared]",
+    ),
+    (
+        "sqrt: no _KRONECKER_MIN_TERMS gate",
+        LAURENT,
+        "if len(terms) >= _KRONECKER_MIN_TERMS:\n        g_terms = _packed_sqrt(",
+        "if True:\n        g_terms = _packed_sqrt(",
+        f"{PROPERTIES}::test_which_path_takes_a_root[k_to_l jones]",
+    ),
+    # Packed substitution, laurent._horner.
+    (
+        "horner: slots one hex digit too narrow",
+        LAURENT,
+        "for j, c in coeffs.items()).bit_length() // 4 + 1",
+        "for j, c in coeffs.items()).bit_length() // 4",
+        f"{PROPERTIES}::test_slot_width_at_a_power_of_two",
+    ),
+    (
+        "horner: decode low corner off by one",
+        LAURENT,
+        "low = [b + x for b, x in zip(base,",
+        "low = [b + x + 1 for b, x in zip(base,",
+        f"{PROPERTIES}::test_homfly_bridge_matches_naive_expansion",
+    ),
+    (
+        "horner: Horner move off by one slot",
+        LAURENT,
+        "acc, at, down = 0, 4 * h * top, 4 * h * move",
+        "acc, at, down = 0, 4 * h * top, 4 * h * (move + 1)",
+        "tests/test_laurent.py::TestSubstitutePoly::test_homfly_bridge_for_the_trefoil",
+    ),
+    (
+        "horner: groups that share output keys merged by dict.update",
+        LAURENT,
+        "return _add_scaled(pieces.pop(), [(zero, 1, terms) for terms in pieces])",
+        "return {key: c for terms in pieces for key, c in terms.items()}",
+        f"{PROPERTIES}::test_images_that_cancel_to_zero[2*a - z-q-2*q]",
+    ),
+]
+
+
+def pytest(copy: Path, *nodes: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *nodes]
+    return subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True)
+
+
+def main() -> int:
+    problems = []
+    with tempfile.TemporaryDirectory() as tmp:
+        # The tests run from the copy too, so that nothing they write (a
+        # Hypothesis example database) lands in the working tree.
+        copy = Path(tmp)
+        for folder in ("src", "tests"):
+            shutil.copytree(ROOT / folder, copy / folder, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        src = copy / "src"
+        baseline = pytest(copy, *sorted({row[4] for row in MUTANTS}))
+        if baseline.returncode != 0:
+            print(baseline.stdout[-3000:])
+            print("FAIL the named nodes do not all pass on an unchanged copy of src/")
+            return 1
+        for name, file, snippet, replacement, node in MUTANTS:
+            path = src / file
+            original = path.read_text()
+            count = original.count(snippet)
+            if count != 1:
+                problems.append(f"{name}: its snippet occurs {count} times in src/{file}, not once")
+                continue
+            path.write_text(original.replace(snippet, replacement))
+            start = time.perf_counter()
+            # Exit code 1 is a failing test; 2-5 (an error in pytest, a node
+            # that does not exist) would only hide the mutant.
+            outcome = pytest(copy, node).returncode
+            path.write_text(original)
+            verdict = "killed" if outcome == 1 else "SURVIVED" if outcome == 0 else f"pytest exit {outcome}"
+            print(f"{verdict:8s} {name}  ({node}, {time.perf_counter() - start:.1f} s)")
+            if outcome != 1:
+                problems.append(f"{name}: {verdict} under {node}")
+    for problem in problems:
+        print(f"FAIL {problem}")
+    print(f"{len(MUTANTS) - len(problems)}/{len(MUTANTS)} mutants killed by their tests")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

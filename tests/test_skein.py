@@ -36,7 +36,7 @@ from torkit import (
     solve_parameters,
     uv_number,
 )
-from torkit import skein
+from torkit import laurent, qnumbers, skein
 from torkit.skein import odd_index
 
 
@@ -372,16 +372,136 @@ def naive_steps(c1, c2, first, second, count):
 
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_fused_steps_match_the_naive_stepper(family):
+    # To n = 501: packed from _PACKED_MIN_TERMS terms on, and HOMFLY back on _linear past 64-bit slots.
     spec = FAMILIES[family]
     k1, k2 = spec.knot_step.k1, spec.knot_step.k2
     one = LaurentPoly.one(spec.context)
-    odd = dict(gen_odd_sequence(spec.knot_step, 201))
-    assert list(odd) == list(range(1, 202, 2))
-    assert list(odd.values()) == naive_steps(k1, k2, one, k1 + k2, 101)
+    odd = dict(gen_odd_sequence(spec.knot_step, 501))
+    assert list(odd) == list(range(1, 502, 2))
+    assert list(odd.values()) == naive_steps(k1, k2, one, k1 + k2, 251)
     base2 = spec.hopf if spec.hopf is not None else spec.skein.l1
-    full = gen_full_sequence(spec.skein, base2, 201)
-    assert list(full) == list(range(1, 202))
-    assert list(full.values()) == naive_steps(spec.skein.l1, spec.skein.l2, one, base2, 201)
+    full = gen_full_sequence(spec.skein, base2, 501)
+    assert list(full) == list(range(1, 502))
+    assert list(full.values()) == naive_steps(spec.skein.l1, spec.skein.l2, one, base2, 501)
+
+
+@st.composite
+def recurrences(draw):
+    """(c1, c2, first, second) over one or two variables, with negative and
+    quarter exponents.  In two variables c1's terms share x0, or x0 + x1, or
+    neither, and first lies on two nearby values of that coordinate and
+    second on those moved as c1 moves them, so that most runs reach the
+    packed steps.  first and second hold up to 24 terms, with coefficients
+    of 2, 20 or 50 bits, so that some runs outgrow 64-bit slots partway."""
+    context = draw(st.sampled_from([CTX_T, CTX_QP]))
+    exp = st.integers(-8, 8)
+    free = st.tuples(*[exp] * len(context))
+    shared = "x0" if len(context) == 1 else draw(st.sampled_from(["x0", "x0 + x1", "neither"]))
+
+    def on_rows(*rows):
+        if shared == "neither":
+            return free
+        keys = st.tuples(st.sampled_from(rows), exp)
+        if len(context) == 1:
+            return keys.map(lambda key: key[1:])
+        return keys if shared == "x0" else keys.map(lambda key: (key[1], key[0] - key[1]))
+
+    small = st.integers(-3, 3).filter(bool)
+    move = draw(exp)  # of the row, by each term of c1 and, as in the families, by two of c2's
+    c1 = draw(st.dictionaries(on_rows(move), small, min_size=1, max_size=3))
+    c2 = draw(st.dictionaries(on_rows(2 * move), small, min_size=1, max_size=2))
+    bits, row, gap = draw(st.sampled_from([2, 20, 50])), draw(exp), draw(st.integers(1, 2))
+    coeffs = st.integers(-(2**bits), 2**bits).filter(bool)
+    first, second = [draw(st.dictionaries(on_rows(r, r + gap), coeffs, max_size=24)) for r in (row, row + move)]
+    return [LaurentPoly(context, terms) for terms in (c1, c2, first, second)]
+
+
+@given(recurrences())
+@settings(max_examples=150, deadline=None)
+def test_steps_match_the_naive_stepper(case):
+    assert list(islice(qnumbers._steps(*case), 24)) == naive_steps(*case, 24)
+
+
+def run_of(terms: int, context=CTX_T) -> LaurentPoly:
+    """The sum of t^(j/4), or in q and p of p^(j/4), for j = 1 .. terms."""
+    return LaurentPoly(context, {((j,) if len(context) == 1 else (0, j)): 1 for j in range(1, terms + 1)})
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        # c1 P(1) cancels c2 P(0): the entry after the bases is zero, then P(0)'s multiples.
+        (parse("t", CTX_T), parse("-t^2", CTX_T), run_of(30), parse("t", CTX_T) * run_of(30)),
+        # q + p^2 shares neither x0 nor x0 + x1 across its terms: no row to pack on.
+        (parse("q + p^2", CTX_QP), parse("-q", CTX_QP), run_of(30, CTX_QP), run_of(40, CTX_QP)),
+    ],
+    ids=["an entry cancels to zero", "c1 shares no row coordinate"],
+)
+def test_steps_match_the_naive_stepper_at_the_edges(case):
+    assert list(islice(qnumbers._steps(*case), 40)) == naive_steps(*case, 40)
+
+
+def test_slot_width_bound_is_tight_at_every_width():
+    # P(n) = F(n+1) t^(n/4) S for a run S of 30 terms: the copies of each
+    # term land on one slot with one sign, so ||c1|| max|P(n)| + ||c2||
+    # max|P(n-1)| is each new coefficient exactly.  F = 144, 46368 and
+    # 2971215073 fill the sign bit of 8, 16 and 32 bits, and
+    # F(93) = 12200160415121876738 would need 65, so _linear makes it.
+    t, run = parse("t^(1/4)", CTX_T), run_of(30)
+    case = (t, t * t, run, t * run)
+    assert list(islice(qnumbers._steps(*case), 100)) == naive_steps(*case, 100)
+
+
+def test_row_span_bound_meets_its_edge():
+    # P(n) = (p^(n/4) + p^((n-2)/4) + ... + p^(-n/4)) (1 + q^(1/4) p^(-1/4)):
+    # coefficients 1 on two rows, x0 = 0 and 1/4, over the same columns
+    # x0 + x1.  Each step widens the hull by a column on either side; rows
+    # are laid out 50 columns long when packing starts, and 13 steps later
+    # the hull spans 51, where the last column of the first row would wrap
+    # onto the first column of the second.
+    c1, first = parse("p^(1/4) + p^(-1/4)", CTX_QP), parse("1 + q^(1/4)*p^(-1/4)", CTX_QP)
+    case = (c1, parse("-1", CTX_QP), first, c1 * first)
+    assert list(islice(qnumbers._steps(*case), 60)) == naive_steps(*case, 60)
+
+
+def kernels_used(monkeypatch, pair: KnotStepPair, n_max: int) -> tuple[list, list]:
+    """The odd entries of pair's knot step up to n_max, and for each entry
+    after the bases the kernel that made it: "linear" or "packed"."""
+    made = []
+    linear, packed = qnumbers._linear, qnumbers._packed_steps
+
+    def counting_linear(*step):
+        made.append("linear")
+        return linear(*step)
+
+    def counting_packed(*start):
+        for entry in packed(*start):
+            made.append("packed")
+            yield entry
+
+    monkeypatch.setattr(qnumbers, "_linear", counting_linear)
+    monkeypatch.setattr(qnumbers, "_packed_steps", counting_packed)
+    return list(dict(gen_odd_sequence(pair, n_max)).values()), made
+
+
+def test_which_kernel_steps_each_entry(monkeypatch):
+    # Entry i + 1 is stepped from entries i - 1 and i.  Alexander to n = 501:
+    # _linear while entry i has fewer than _PACKED_MIN_TERMS terms, then packed.
+    entries, made = kernels_used(monkeypatch, FAMILIES["alexander"].knot_step, 501)
+    small = sum(1 for entry in entries[1:-1] if entry.num_terms < laurent._PACKED_MIN_TERMS)
+    assert small >= 1 and made == ["linear"] * small + ["packed"] * (len(entries) - 2 - small)
+    # HOMFLY: packed until ||k1|| max|P(n)| + ||k2|| max|P(n-2)| needs 64
+    # bits with its sign, then _linear for the rest.
+    pair = FAMILIES["homfly"].knot_step
+    entries, made = kernels_used(monkeypatch, pair, 201)
+    small = sum(1 for entry in entries[1:-1] if entry.num_terms < laurent._PACKED_MIN_TERMS)
+    tops = [max(map(abs, entry.terms.values())) for entry in entries]
+    norms = [sum(map(abs, k.terms.values())) for k in (pair.k1, pair.k2)]
+    wide = [i for i in range(1, len(entries)) if (norms[0] * tops[i] + norms[1] * tops[i - 1]).bit_length() >= 64]
+    assert wide == list(range(wide[0], len(entries)))
+    packed = wide[0] - 1 - small
+    assert packed > 0 and made == ["linear"] * small + ["packed"] * packed + ["linear"] * (len(entries) - 1 - wide[0])
+    assert 2 * (wide[0] + 1) + 1 == 97  # P(97) is the first HOMFLY value that _linear makes again
 
 
 # -- properties ----------------------------------------------------------------
