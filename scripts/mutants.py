@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Mutant gate: each fast kernel check must be one that some test needs.
+"""Mutant gate: each fast kernel check, and each part of the frozen records'
+contract, must be one that some test needs.
 
 Every row of MUTANTS names a file under src/, a snippet that must occur in
 it exactly once, the snippet's replacement (a deliberately broken check),
@@ -31,6 +32,7 @@ LAURENT = "torkit/laurent.py"
 QNUMBERS = "torkit/qnumbers.py"
 SKEIN_TESTS = "tests/test_skein.py"
 PROPERTIES = "tests/test_laurent_properties.py"
+RECORDS = "tests/test_records.py"
 
 # (name, file under src/, snippet, replacement, pytest node that must fail)
 MUTANTS = [
@@ -155,6 +157,28 @@ MUTANTS = [
         "return _add_scaled(pieces.pop(), [(zero, 1, terms) for terms in pieces])",
         "return {key: c for terms in pieces for key, c in terms.items()}",
         f"{PROPERTIES}::test_images_that_cancel_to_zero[2*a - z-q-2*q]",
+    ),
+    # The frozen records' base, laurent._Frozen, and VarContext's own equality.
+    (
+        "records: VarContext.__eq__ without its class check",
+        LAURENT,
+        "if other.__class__ is self.__class__:\n            return self.names == other.names",
+        "if True:\n            return self.names == other.names",
+        f"{RECORDS}::test_equality_holds_only_within_one_class",
+    ),
+    (
+        "records: the base's __setattr__ assigns instead of raising",
+        LAURENT,
+        '        raise AttributeError(f"cannot assign to field',
+        '        return object.__setattr__(self, name, value)\n        raise AttributeError(f"cannot assign to field',
+        f"{RECORDS}::test_fields_cannot_be_assigned_or_deleted",
+    ),
+    (
+        "records: the pickle hook rebuilds with the last field missing",
+        LAURENT,
+        "return self.__class__, self._values()",
+        "return self.__class__, self._values()[:-1]",
+        f"{RECORDS}::test_pickle_and_deepcopy_round_trip",
     ),
 ]
 

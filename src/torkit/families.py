@@ -42,10 +42,9 @@ q^(1/4) p^(-1/4) - q^(-1/4) p^(1/4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from collections.abc import Callable, Iterator
 
-from .laurent import LaurentPoly, Substitution, VarContext, parse
+from .laurent import LaurentPoly, Substitution, VarContext, _Frozen, parse
 from .qnumbers import QP_CTX, T_CTX, jones_number, q_number, qp_number
 from .skein import (
     KnotStepPair,
@@ -58,8 +57,7 @@ from .skein import (
 AZ_CTX = VarContext(("a", "z"))
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Frozen):
     """Everything one invariant family carries.
 
     skein_form holds (c_plus, c_minus, c_zero) of the defining relationship;
@@ -72,14 +70,20 @@ class FamilySpec:
     checks fit_ansatz against (homfly has none: the fit needs its second shape).
     """
 
-    name: str
-    context: VarContext
-    skein_form: tuple[LaurentPoly, LaurentPoly, LaurentPoly]
-    skein: SkeinPair
-    knot_step: KnotStepPair
-    closed_form: Callable[[int], LaurentPoly]
-    hopf: Optional[LaurentPoly] = None
-    ansatz: Optional[tuple[LaurentPoly, LaurentPoly]] = None
+    __slots__ = ("name", "context", "skein_form", "skein", "knot_step", "closed_form", "hopf", "ansatz")
+
+    def __init__(
+        self,
+        name: str,
+        context: VarContext,
+        skein_form: tuple[LaurentPoly, LaurentPoly, LaurentPoly],
+        skein: SkeinPair,
+        knot_step: KnotStepPair,
+        closed_form: Callable[[int], LaurentPoly],
+        hopf: LaurentPoly | None = None,
+        ansatz: tuple[LaurentPoly, LaurentPoly] | None = None,
+    ):
+        super().__init__(name, context, skein_form, skein, knot_step, closed_form, hopf, ansatz)
 
     def value(self, n: int) -> LaurentPoly:
         """The T(n,2) value for odd n, from the closed form."""
@@ -97,8 +101,8 @@ def _build_family(
     c_minus: str,
     c_zero: str,
     lucas: Callable[[int], LaurentPoly],
-    hopf: Optional[str] = None,
-    ansatz: Optional[tuple[str, str]] = None,
+    hopf: str | None = None,
+    ansatz: tuple[str, str] | None = None,
 ) -> FamilySpec:
     plus = parse(c_plus, context)
     minus = parse(c_minus, context)

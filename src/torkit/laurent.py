@@ -13,16 +13,14 @@ function of its inputs, so polynomials can be shared freely across threads.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from array import array
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress, repeat
 from math import gcd, isqrt, prod
 from operator import add, itemgetter
-from typing import Iterable, Iterator, Mapping, Union
 
 
 class TorkitError(Exception):
@@ -61,38 +59,94 @@ class ParseError(TorkitError):
         self.position = position
 
 
+class _Frozen:
+    """Base of the library's immutable records.
+
+    A record's fields are its class's __slots__, in order.  Its __init__
+    checks the arguments and passes them here, in that order, to be set
+    once.  Records compare and hash by their fields, but only within one
+    class; they print as `Name(field=value, ...)`, pickle and copy by
+    calling __init__ again, and refuse assignment and deletion.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def replace(self, **changes) -> _Frozen:
+        """A copy with the named fields changed, checked as a new record is."""
+        return self.__class__(**{name: getattr(self, name) for name in self.__slots__} | changes)
+
+    def __setattr__(self, name: str, value: object):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name: str):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
 _NAME_RE = re.compile(r"[A-Za-z_]\w*", re.ASCII)
 
 
-@dataclass(frozen=True)
-class VarContext:
+class VarContext(_Frozen):
     """An ordered tuple of one or two distinct variable names.
 
     The context is fixed for the lifetime of any polynomial built in it;
     operations on operands from different contexts raise ContextMismatch.
     """
 
-    names: tuple[str, ...]
+    __slots__ = ("names",)
 
-    def __post_init__(self):
+    def __init__(self, names: tuple[str, ...]):
         # A str or list would pass the checks below but compare and hash
         # unlike the tuple of the same names.
-        if not isinstance(self.names, tuple) or not all(isinstance(name, str) for name in self.names):
-            raise TypeError(f"variable names must be a tuple of str, got {self.names!r}")
-        if not 1 <= len(self.names) <= 2:
+        if not isinstance(names, tuple) or not all(isinstance(name, str) for name in names):
+            raise TypeError(f"variable names must be a tuple of str, got {names!r}")
+        if not 1 <= len(names) <= 2:
             raise ValueError("a context holds one or two variables")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
-        for name in self.names:
+        for name in names:
             if not _NAME_RE.fullmatch(name):
                 raise ValueError(f"invalid variable name {name!r}")
+        super().__init__(names)
+
+    # Written out rather than inherited: every binary polynomial operation
+    # compares contexts, so this is the one record comparison on a hot path.
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.names == other.names
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.names)
 
     def __len__(self) -> int:
         return len(self.names)
 
 
-PolyLike = Union["LaurentPoly", int]
-Assignments = Union[Mapping[str, object], "Substitution"]
+# The operand and assignment types that the annotations below name.
+PolyLike = "LaurentPoly | int"
+Assignments = "Mapping[str, object] | Substitution"
 
 
 class LaurentPoly:
@@ -1275,6 +1329,10 @@ def to_json(f: LaurentPoly) -> str:
 
 
 def from_json(text: str) -> LaurentPoly:
+    # Imported here, not at the top: only decoding needs json, and a process
+    # that never decodes starts without it.
+    import json
+
     # The default int parser stays in C; only an integer past the int/str
     # digit limit, which it refuses, makes the decode fall back to
     # _digits_int, called once per integer.

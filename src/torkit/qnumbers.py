@@ -20,9 +20,9 @@ laurent._linear, then each entry as one Kronecker-packed int
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import cache
 from itertools import islice, repeat
-from typing import Iterator
 
 from .laurent import _PACKED_MIN_TERMS, ContextMismatch, LaurentPoly, VarContext, _linear, _packed_steps, parse
 from .report import CheckReport, compare

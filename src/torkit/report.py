@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
+
+from .laurent import _Frozen
 
 
 def counterexample(n: int, lhs: object, rhs: object) -> str:
@@ -11,14 +12,14 @@ def counterexample(n: int, lhs: object, rhs: object) -> str:
     return f"first counterexample at n={n}: {lhs} != {rhs}"
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(_Frozen):
     """Outcome of checking one identity: the cases checked and the text of
     the first failure, "" when every case passed."""
 
-    name: str
-    checked: int
-    failure: str = ""
+    __slots__ = ("name", "checked", "failure")
+
+    def __init__(self, name: str, checked: int, failure: str = ""):
+        super().__init__(name, checked, failure)
 
     @property
     def passed(self) -> bool:

@@ -22,8 +22,8 @@ every knot value is U_{m+1} + k2 U_m.  Both steps run qnumbers._steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterator, Mapping
 
 from .laurent import (
     ContextMismatch,
@@ -31,6 +31,7 @@ from .laurent import (
     NotAPerfectSquare,
     TorkitError,
     VarContext,
+    _Frozen,
     exact_sqrt,
 )
 from .qnumbers import _steps, uv_number
@@ -81,42 +82,39 @@ def _require_same_context(a: LaurentPoly, b: LaurentPoly, what: str) -> None:
         raise ContextMismatch(f"{what} must share one context")
 
 
-@dataclass(frozen=True)
-class SkeinPair:
+class SkeinPair(_Frozen):
     """Coefficients (l1, l2) of the full step P(n+1) = l1 P(n) + l2 P(n-1)."""
 
-    l1: LaurentPoly
-    l2: LaurentPoly
+    __slots__ = ("l1", "l2")
 
-    def __post_init__(self):
-        _require_same_context(self.l1, self.l2, "l1 and l2")
+    def __init__(self, l1: LaurentPoly, l2: LaurentPoly):
+        _require_same_context(l1, l2, "l1 and l2")
+        super().__init__(l1, l2)
 
     @property
     def context(self) -> VarContext:
         return self.l1.context
 
 
-@dataclass(frozen=True)
-class KnotStepPair:
+class KnotStepPair(_Frozen):
     """Coefficients (k1, k2) of the knot-only step P(n+2) = k1 P(n) + k2 P(n-2)."""
 
-    k1: LaurentPoly
-    k2: LaurentPoly
+    __slots__ = ("k1", "k2")
 
-    def __post_init__(self):
-        _require_same_context(self.k1, self.k2, "k1 and k2")
+    def __init__(self, k1: LaurentPoly, k2: LaurentPoly):
+        _require_same_context(k1, k2, "k1 and k2")
+        super().__init__(k1, k2)
 
     @property
     def context(self) -> VarContext:
         return self.k1.context
 
 
-class AnsatzCoefficients(NamedTuple):
+class AnsatzCoefficients(namedtuple("AnsatzCoefficients", ("a1", "a2"))):
     """The fitted pair (a1, a2) in P(2m+1) = a1 [m+1] - a2 [m], a named
     tuple: it unpacks as a1, a2 and equals the plain pair FamilySpec.ansatz."""
 
-    a1: LaurentPoly
-    a2: LaurentPoly
+    __slots__ = ()
 
 
 def l_to_k(pair: SkeinPair) -> KnotStepPair:

@@ -8,8 +8,8 @@ torus indices).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -309,7 +309,7 @@ class TestVerify:
     def test_ansatz_mismatch_reports_the_fit_against_the_registry(self, monkeypatch, capsys):
         spec = cli.FAMILIES["jones"]
         wrong = (parse("1", families.T_CTX), parse("t^2", families.T_CTX))
-        monkeypatch.setitem(cli.FAMILIES, "jones", dataclasses.replace(spec, ansatz=wrong))
+        monkeypatch.setitem(cli.FAMILIES, "jones", spec.replace(ansatz=wrong))
         rc, out, _ = run(capsys, "verify", "--n-max", "5")
         assert rc == 1
         assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
@@ -540,6 +540,26 @@ class TestSubprocess:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "-t^4 + t^3 + t"
+
+    def test_import_loads_no_dataclasses_inspect_json_or_typing(self):
+        """A fresh `import torkit.cli`, with site start-up left out (-S), adds
+        none of dataclasses, inspect, json or typing to sys.modules; the
+        first decode loads json, and from_json(to_json(f)) == f still holds."""
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import torkit.cli\n"
+            "from torkit import HOMFLY, from_json, to_json\n"
+            "added = set(sys.modules) - before\n"
+            "print(sorted(added & {'dataclasses', 'inspect', 'json', 'typing'}))\n"
+            "f = HOMFLY.value(7)\n"
+            "assert from_json(to_json(f)) == f\n"
+            "print('json' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\nTrue\n"
 
     def test_closed_stdout_ends_table_quietly(self):
         """A reader that stops after one row (`| head -n 1`) ends a table
