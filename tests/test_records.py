@@ -30,11 +30,6 @@ from torkit.cli import OutputRecord
 A = parse("t^2 - 1", CTX_T)
 B = parse("-t^(1/2)", CTX_T)
 
-
-def fields_of(record) -> dict:
-    return {name: getattr(record, name) for name in FIELDS[type(record)]}
-
-
 FIELDS = {
     VarContext: ("names",),
     SkeinPair: ("l1", "l2"),
@@ -43,6 +38,11 @@ FIELDS = {
     CheckReport: ("name", "checked", "failure"),
     OutputRecord: ("family", "n", "polynomial", "representation"),
 }
+
+
+def fields_of(record) -> dict:
+    return {name: getattr(record, name) for name in FIELDS[type(record)]}
+
 
 RECORDS = [
     VarContext(("q", "p")),
