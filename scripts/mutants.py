@@ -32,6 +32,7 @@ LAURENT = "torkit/laurent.py"
 QNUMBERS = "torkit/qnumbers.py"
 SKEIN_TESTS = "tests/test_skein.py"
 PROPERTIES = "tests/test_laurent_properties.py"
+LAURENT_TESTS = "tests/test_laurent.py"
 RECORDS = "tests/test_records.py"
 
 # (name, file under src/, snippet, replacement, pytest node that must fail)
@@ -45,10 +46,10 @@ MUTANTS = [
         f"{SKEIN_TESTS}::test_slot_width_bound_is_tight_at_every_width",
     ),
     (
-        "recurrence: slots one byte too narrow at each new width",
+        "recurrence: slots a width too narrow at each width edge (a bound of 2^(w-1) in w-bit slots)",
         LAURENT,
-        "width = max(width, 8, 1 << bound.bit_length().bit_length())",
-        "width = max(width, 8, 1 << (bound.bit_length() - 1).bit_length())",
+        "width = max(width, _width(bound))",
+        "width = max(width, _width(bound >> 1))",
         f"{SKEIN_TESTS}::test_slot_width_bound_is_tight_at_every_width",
     ),
     (
@@ -71,6 +72,13 @@ MUTANTS = [
         "old[2], new[2] = (max(",
         "new[2], old[2] = (max(",
         f"{SKEIN_TESTS}::test_fused_steps_match_the_naive_stepper[homfly]",
+    ),
+    (
+        "recurrence: a one-row entry wider than cols read in rows cols slots long",
+        LAURENT,
+        "row = max(cols, k1 - k0 + 1)",
+        "row = cols",
+        f"{SKEIN_TESTS}::test_a_one_row_entry_outgrows_the_row_length",
     ),
     (
         "recurrence: kept one-variable keys read one slot late",
@@ -104,8 +112,8 @@ MUTANTS = [
     (
         "sqrt: no column bound",
         LAURENT,
-        "if len(spans) == 2 and 2 * (max(x0 + x1 for x0, x1 in g_terms)",
-        "if False and 2 * (max(x0 + x1 for x0, x1 in g_terms)",
+        "if arity == 2 and 2 * (max(k for _, k in _points(g_terms))",
+        "if False and 2 * (max(k for _, k in _points(g_terms))",
         f"{PROPERTIES}::test_each_packed_check_meets_an_input_only_it_rejects[column bound]",
     ),
     (
@@ -118,7 +126,7 @@ MUTANTS = [
     (
         "sqrt: no width cutoff",
         LAURENT,
-        "    if 4 * h > _PACKED_SQRT_MAX_BITS:\n        return None",
+        "    if width > _PACKED_SQRT_MAX_BITS:\n        return None",
         "",
         f"{PROPERTIES}::test_which_path_takes_a_root[homfly 301 squared]",
     ),
@@ -131,10 +139,10 @@ MUTANTS = [
     ),
     # Packed substitution, laurent._horner.
     (
-        "horner: slots one hex digit too narrow",
+        "horner: slots a width too narrow at each width edge (a bound of 2^(w-1) in w-bit slots)",
         LAURENT,
-        "for j, c in coeffs.items()).bit_length() // 4 + 1",
-        "for j, c in coeffs.items()).bit_length() // 4",
+        "for j, c in coeffs.items()))",
+        "for j, c in coeffs.items()) >> 1)",
         f"{PROPERTIES}::test_slot_width_at_a_power_of_two",
     ),
     (
@@ -147,8 +155,8 @@ MUTANTS = [
     (
         "horner: Horner move off by one slot",
         LAURENT,
-        "acc, at, down = 0, 4 * h * top, 4 * h * move",
-        "acc, at, down = 0, 4 * h * top, 4 * h * (move + 1)",
+        "acc, at, down = 0, width * top, width * move",
+        "acc, at, down = 0, width * top, width * (move + 1)",
         "tests/test_laurent.py::TestSubstitutePoly::test_homfly_bridge_for_the_trefoil",
     ),
     (
@@ -157,6 +165,71 @@ MUTANTS = [
         "return _add_scaled(pieces.pop(), [(zero, 1, terms) for terms in pieces])",
         "return {key: c for terms in pieces for key, c in terms.items()}",
         f"{PROPERTIES}::test_images_that_cancel_to_zero[2*a - z-q-2*q]",
+    ),
+    # The slot reader all four packed kernels share, laurent._unpack.
+    (
+        "codec: two-variable keys read one slot late",
+        LAURENT,
+        "zip(repeat(r), range(k0 - r, span.stop - r, gk))",
+        "zip(repeat(r), range(k0 - r + gk, span.stop - r + gk, gk))",
+        "tests/test_multiply.py::test_large_squares_match_schoolbook[homfly-201]",
+    ),
+    # exact_sqrt's heap loop.
+    (
+        "sqrt heap loop: no push of the keys a step creates",
+        LAURENT,
+        "                heappush(frontier, -key)",
+        "                pass",
+        f"{LAURENT_TESTS}::TestExactSqrt::test_square_lacking_a_key_that_its_root_steps_create",
+    ),
+    (
+        "sqrt heap loop: a push only for the keys of 2 g t",
+        LAURENT,
+        "                heappush(frontier, -key)",
+        "                if gk != t_key:\n                    heappush(frontier, -key)",
+        f"{LAURENT_TESTS}::TestExactSqrt::test_square_lacking_a_key_that_its_root_steps_create",
+    ),
+    (
+        "sqrt heap loop: a push only for the key of t^2",
+        LAURENT,
+        "                heappush(frontier, -key)",
+        "                if gk == t_key:\n                    heappush(frontier, -key)",
+        f"{LAURENT_TESTS}::TestExactSqrt::test_square_lacking_a_key_that_its_root_steps_create",
+    ),
+    (
+        "sqrt heap loop: no skip of stale keys",
+        LAURENT,
+        "        if rc is None:\n            continue\n",
+        "",
+        f"{LAURENT_TESTS}::TestExactSqrt::test_square_whose_steps_cancel_keys_ahead_of_them",
+    ),
+    (
+        "sqrt heap loop: a popped key decoded without its offset",
+        LAURENT,
+        "x0 = (rk - lo1) // w",
+        "x0 = rk // w",
+        f"{LAURENT_TESTS}::TestExactSqrt::test_long_square",
+    ),
+    (
+        "sqrt heap loop: no lower half-box bound",
+        LAURENT,
+        "min0 <= 2 * x0 <= max0 and min1 <= 2 * x1 <= max1",
+        "2 * x0 <= max0 and 2 * x1 <= max1",
+        f"{LAURENT_TESTS}::TestExactSqrt::test_formal_root_leaving_the_box_rejected",
+    ),
+    (
+        "sqrt heap loop: no upper half-box bound",
+        LAURENT,
+        "min0 <= 2 * x0 <= max0 and min1 <= 2 * x1 <= max1",
+        "min0 <= 2 * x0 and min1 <= 2 * x1",
+        f"{LAURENT_TESTS}::TestExactSqrt::test_root_term_above_the_half_box_rejected",
+    ),
+    (
+        "sqrt heap loop: a norm budget one lower",
+        LAURENT,
+        "budget = norm - lc",
+        "budget = norm - lc - 1",
+        f"{LAURENT_TESTS}::TestExactSqrt::test_perfect_square_binomial",
     ),
     # The frozen records' base, laurent._Frozen, and VarContext's own equality.
     (

@@ -18,7 +18,7 @@ import sys
 from array import array
 from collections.abc import Iterable, Iterator, Mapping
 from heapq import heapify, heappop, heappush
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, repeat
 from math import gcd, isqrt, prod
 from operator import add, itemgetter
 
@@ -239,7 +239,8 @@ class LaurentPoly:
             other = LaurentPoly.constant(self._context, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._context == other._context and self._terms == other._terms
+        # The identity test first: nearly every comparison is of one context with itself.
+        return (self._context is other._context or self._context == other._context) and self._terms == other._terms
 
     __hash__ = None  # mutable-looking mapping inside; identity semantics unwanted
 
@@ -249,7 +250,7 @@ class LaurentPoly:
         if type(other) is int:
             return LaurentPoly.constant(self._context, other)
         if isinstance(other, LaurentPoly):
-            if other._context != self._context:
+            if other._context is not self._context and other._context != self._context:
                 raise ContextMismatch(
                     f"contexts differ: {self._context.names} vs {other._context.names}"
                 )
@@ -386,61 +387,42 @@ def _packed_steps(c1: LaurentPoly, c2: LaurentPoly, prev: LaurentPoly, cur: Laur
     _PACKED_SLOTS_PER_TERM slots per term of cur, and at once when c1, c2,
     prev or cur is zero or c1's terms share neither coordinate.
 
-    Layout: a key is the point (row, column), (0, x0) in one variable and
-    in two (x0, x0 + x1) or (x0 + x1, x0), the row being the coordinate
-    c1's terms share, each divided by its gcd over c1, c2, prev and cur.
-    An entry is packed on its hull [r0, r1] x [k0, k1]: the term at (r, k)
-    is slot (r - r0) * cols + k - k0, signed and `width` bits wide.  A term
-    (dr, dk, c) of c1 or c2 adds c times its input shifted from the input's
-    hull, moved by (dr, dk), to the output's, the union of the moved hulls.
+    Layout: keys are _points whose row is the coordinate c1's terms share,
+    x0 or else x0 + x1, each coordinate divided by its gcd over c1, c2,
+    prev and cur.  An entry is packed on its hull [r0, r1] x [k0, k1]: the
+    term at (r, k) is slot (r - r0) * cols + k - k0 of _pack and _unpack.
+    A term (dr, dk, c) of c1 or c2 adds c times its input shifted from the
+    input's hull, moved by (dr, dk), to the output's, the union of the
+    moved hulls.  In one variable the keys _unpack reads are kept from step
+    to step.
 
     Bounds, checked every step.  Width: every output coefficient is at most
     ||c1||_1 max|cur| + ||c2||_1 max|prev| (each max the bound that made the
     entry, or its terms' own when that is too wide), which must fit a
     signed slot.  Span: no copy wraps into the next row while the output's
     hull spans at most cols columns or one row.  When either fails, both
-    inputs are re-packed from their terms, at the least of 8, 16, 32 and
-    64 bits that holds the bound or at twice the span.  Read-back: adding
-    and xoring the top bit of every slot leaves each in two's complement,
-    read as an array of signed ints and zipped in C with keys from range.
+    inputs are re-packed from their terms, at the _width that holds the
+    bound (8, 16, 32 or 64 bits) or at twice the span.
     """
     cur, c2, prev = c1._coerce(cur), c1._coerce(c2), c1._coerce(prev)
     if not (c1._terms and c2._terms and prev._terms and cur._terms):
         return
-    context, flip = c1._context, False
-    if len(context) == 2 and len({x0 for x0, _ in c1._terms}) > 1:
-        if len({x0 + x1 for x0, x1 in c1._terms}) > 1:
-            return
-        flip = True  # the row is x0 + x1, the column x0
-
-    def points(terms: dict) -> list:
-        if len(context) == 1:
-            return [(0, x0) for (x0,) in terms]
-        return [(x0 + x1, x0) if flip else (x0, x0 + x1) for x0, x1 in terms]
-
-    polys = [f._terms for f in (c1, c2, prev, cur)]
-    unscaled = [points(terms) for terms in polys]
-    gr, gk = (gcd(*col) or 1 for col in zip(*chain(*unscaled)))
-
-    def scaled(points: list) -> list:
-        return [(r // gr, k // gk) for r, k in points]
+    flip = len({r for r, _ in _points(c1._terms)}) > 1  # no shared x0: rows run along x0 + x1
+    if flip and len({r for r, _ in _points(c1._terms, flip)}) > 1:
+        return
+    context, polys = c1._context, [f._terms for f in (c1, c2, prev, cur)]
+    unscaled = [_points(terms, flip) for terms in polys]
+    strides = [gcd(*col) or 1 for col in zip(*chain(*unscaled))]
+    gr, gk = strides
+    cuts = [[(r // gr, k // gk) for r, k in points] for points in unscaled]
 
     def hull(points: list) -> tuple:
         rows, columns = zip(*points)
         return min(rows), min(columns), max(rows), max(columns)
 
     def pack(terms: dict, box: tuple) -> int:
-        r0, k0, r1, k1 = box
-        n = (r1 - r0) * cols + k1 - k0 + 1
-        slots = array(_SIGNED[width], bytes(width // 8 * n))
-        for (r, k), c in zip(scaled(points(terms)), terms.values()):
-            slots[(r - r0) * cols + k - k0] = c
-        if _BIG_ENDIAN:
-            slots.byteswap()
-        top = int.from_bytes(slot_top * n, "little")
-        return (int.from_bytes(slots, "little") ^ top) - top
+        return _pack(_points(terms, flip), terms.values(), (box[0] * gr, box[1] * gk), strides, cols, width)
 
-    cuts = [scaled(points) for points in unscaled]
     moves = [[(*p, c) for p, c in zip(points, terms.values())] for points, terms in zip(cuts, polys[:2])]
     reach = [hull(points) for points in cuts[:2]]  # each of c1 and c2 moves a hull by this much
     norms = [sum(map(abs, terms.values())) for terms in polys[:2]]
@@ -458,9 +440,8 @@ def _packed_steps(c1: LaurentPoly, c2: LaurentPoly, prev: LaurentPoly, cur: Laur
         if bound.bit_length() >= width or (r1 > r0 and k1 - k0 >= cols):
             if bound.bit_length() >= 64:
                 return
-            width = max(width, 8, 1 << bound.bit_length().bit_length())
+            width = max(width, _width(bound))
             cols = max(cols, 2 * (k1 - k0 + 1))
-            slot_top = bytes(width // 8 - 1) + b"\x80"
             old[3], new[3] = pack(old[0], old[1]), pack(new[0], new[1])
         n = (r1 - r0) * cols + k1 - k0 + 1
         if n > _PACKED_SLOTS_PER_TERM * len(new[0]):
@@ -471,24 +452,15 @@ def _packed_steps(c1: LaurentPoly, c2: LaurentPoly, prev: LaurentPoly, cur: Laur
             for dr, dk, c in terms:
                 part = e[3] << width * (at + dr * cols + dk)
                 packed += part if c == 1 else -part if c == -1 else c * part
-        top = int.from_bytes(slot_top * n, "little")
-        slots = array(_SIGNED[width], ((packed + top) ^ top).to_bytes(width // 8 * n, "little"))
-        if _BIG_ENDIAN:
-            slots.byteswap()
+        keys = None
         if len(context) == 1:  # one row, whose keys are kept from step to step
             if k0 < low or k1 >= low + len(known):
                 low = 2 * k0 - k1
                 known = list(zip(range(low * gk, (2 * k1 - k0 + 1) * gk, gk)))
             keys = known[k0 - low : k1 - low + 1]
-        else:
-            span = range(k0 * gk, (k0 + max(cols, k1 - k0 + 1)) * gk, gk)
-            keys = chain.from_iterable(
-                zip(span, range(r * gr - span.start, r * gr - span.stop, -gk))
-                if flip
-                else zip(repeat(r * gr), range(span.start - r * gr, span.stop - r * gr, gk))
-                for r in range(r0, r1 + 1)
-            )
-        terms = dict(compress(zip(keys, slots), slots))
+        # A hull of one row may be wider than cols: no other row shares its slots.
+        row = max(cols, k1 - k0 + 1)
+        terms = _unpack(packed, width, n, (r0 * gr, k0 * gk), strides, row, len(context), flip, keys)
         entries = [new, [terms, box, bound, packed]]
         yield LaurentPoly._make(context, terms)
 
@@ -523,7 +495,7 @@ _PACKED_SQRT_MAX_BITS = 128
 _PACKED_MIN_TERMS = 24
 # _packed_steps hands over to _linear past this many slots per term of cur.
 _PACKED_SLOTS_PER_TERM = 8
-# Signed array typecodes by slot width in bits, and how _packed_steps reads them.
+# Signed array typecodes by slot width in bits, and the byte order _pack and _unpack meet.
 _SIGNED = {8 * array(code).itemsize: code for code in "qlihb"}
 _BIG_ENDIAN = sys.byteorder == "big"
 
@@ -583,40 +555,56 @@ def _kronecker_terms(a: dict, b: dict) -> dict | None:
     2009), or None when the product's exponent box has more than half as
     many slots as there are term pairs, where the pairwise loop wins.
 
-    Each coordinate is shifted to start at 0 and divided by its common
-    stride; the product's box, read in row-major order, numbers the slots.
-    Two variables are always numbered in the coordinates (x0, x0 + x1):
-    terms on a few antidiagonals ([m]_{q,p}, the powers of
-    z = q^(1/4)p^(-1/4) - q^(-1/4)p^(1/4), the generalized Alexander values)
-    fill all of that box, and HOMFLY values fill it as fully as the plain
-    (x0, x1) box.  Dense square operands, which no library caller makes, get
-    twice the slots of the plain box there, or the pairwise loop.  Each
-    operand becomes one int with a slot every 4*h bits, wide enough for any
-    product coefficient, and a single big-int multiply gives every
-    coefficient at once, read back by _unpack.
+    Each coordinate of the _points numbering is shifted to start at 0 and
+    divided by its common stride; the product's box, read in row-major
+    order, numbers the slots.  Two variables are numbered in the
+    coordinates (x0, x0 + x1): terms on a few antidiagonals ([m]_{q,p}, the
+    powers of z = q^(1/4)p^(-1/4) - q^(-1/4)p^(1/4), the generalized
+    Alexander values) fill all of that box, and HOMFLY values fill it as
+    fully as the plain (x0, x1) box.  Dense square operands, which no
+    library caller makes, get twice the slots of the plain box there, or
+    the pairwise loop.  Each operand becomes one int by _pack, with signed
+    slots of the _width that holds any product coefficient, and a single
+    big-int multiply gives every coefficient at once, read back by _unpack.
     """
-    cols_a, cols_b = [list(col) for col in zip(*a)], [list(col) for col in zip(*b)]
-    if len(cols_a) == 2:
-        cols_a[1] = [x0 + x1 for x0, x1 in a]
-        cols_b[1] = [x0 + x1 for x0, x1 in b]
-    (lows_a, lows_b), strides, spans = _box(cols_a, cols_b)
+    points_a, points_b = _points(a), _points(b)
+    (lows_a, lows_b), strides, spans = _box(points_a, points_b)
     slots = prod(spans)
     if 2 * slots > len(a) * len(b):
         return None
-    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * len(a)
-    h = bound.bit_length() // 4 + 1  # hex digits per slot: room for sign and bound
-    packed = _pack(cols_a, a.values(), lows_a, strides, spans, h)
-    packed *= _pack(cols_b, b.values(), lows_b, strides, spans, h)
-    return _unpack(packed, h, slots, [x + y for x, y in zip(lows_a, lows_b)], strides, spans)
+    width = _width(max(map(abs, a.values())) * max(map(abs, b.values())) * len(a))
+    packed = _pack(points_a, a.values(), lows_a, strides, spans[1], width)
+    packed *= _pack(points_b, b.values(), lows_b, strides, spans[1], width)
+    corner = [x + y for x, y in zip(lows_a, lows_b)]
+    return _unpack(packed, width, slots, corner, strides, spans[1], len(next(iter(a))))
+
+
+def _points(terms: Iterable, flip: bool = False) -> list:
+    """Each exponent key of terms as the point (row, column) that the packed
+    kernels number slots by: (0, x0) in one variable, and in two (x0, x0 + x1),
+    or (x0 + x1, x0) when flip.  _unpack inverts it."""
+    if len(next(iter(terms))) == 1:
+        return [(0, x0) for (x0,) in terms]
+    if flip:
+        return [(x0 + x1, x0) for x0, x1 in terms]
+    return [(x0, x0 + x1) for x0, x1 in terms]
+
+
+def _width(bound: int) -> int:
+    """The bits of a signed slot that holds every int of size at most bound:
+    8, 16, 32 or 64, which array reads in C, and whole bytes past 64."""
+    bits = bound.bit_length()
+    return max(8, 1 << bits.bit_length()) if bits < 64 else 8 * (bits // 8 + 1)
 
 
 def _box(*operands: list) -> tuple[list, list, list]:
-    """Per operand, the lowest value of each of its coordinate columns; per
-    column, the stride common to all operands and the number of slots their
-    product spans."""
-    lows = [[min(col) for col in cols] for cols in operands]
+    """Each operand is a list of points.  Per operand, its lowest row and
+    column; per coordinate, the stride common to all operands and the
+    number of slots their product spans."""
+    columns = [list(zip(*points)) for points in operands]
+    lows = [[min(col) for col in cols] for cols in columns]
     strides, spans = [], []
-    for j, cols in enumerate(zip(*operands)):
+    for j, cols in enumerate(zip(*columns)):
         steps = [x - low[j] for col, low in zip(cols, lows) for x in col]
         stride = gcd(*steps) or 1
         strides.append(stride)
@@ -624,54 +612,58 @@ def _box(*operands: list) -> tuple[list, list, list]:
     return lows, strides, spans
 
 
-def _pack(cols: list, coeffs: Iterable, lows: list, strides: list, spans: list, h: int) -> int:
-    """The operand, given as coordinate columns and coefficients, as one int
-    with h hex digits per slot of the product's box."""
-    if len(spans) == 1:
-        ((xs,), (lo,), (g,)) = cols, lows, strides
-        index = [(x - lo) // g for x in xs]
+def _pack(points: list, coeffs: Iterable, corner: list, strides: list, row: int, width: int) -> int:
+    """The coefficients at the points as one int of signed `width`-bit
+    slots: the point (r, k) is slot (r - r0) // gr * row + (k - k0) // gk
+    for the corner (r0, k0) and the strides (gr, gk).  The slots are
+    written in two's complement; xoring the top bit of every slot, then
+    subtracting those bits, turns their bytes into the signed sum."""
+    (r0, k0), (gr, gk) = corner, strides
+    index = [(r - r0) // gr * row + (k - k0) // gk for r, k in points]
+    size, n = width // 8, max(index) + 1
+    if width <= 64:
+        data = array(_SIGNED[width], bytes(size * n))
+        for i, c in zip(index, coeffs):
+            data[i] = c
+        if _BIG_ENDIAN:
+            data.byteswap()
     else:
-        (xs, ys), (lo0, lo1), (g0, g1), span1 = cols, lows, strides, spans[1]
-        index = [(x - lo0) // g0 * span1 + (y - lo1) // g1 for x, y in zip(xs, ys)]
-    n = max(index) + 1
-    fmt = f"0{h}x"
-    pos = ["0" * h] * n
-    neg = pos.copy()
-    for i, c in zip(index, coeffs):
-        if c > 0:
-            pos[n - 1 - i] = format(c, fmt)
+        data = bytearray(size * n)
+        for i, c in zip(index, coeffs):
+            data[i * size : i * size + size] = c.to_bytes(size, "little", signed=True)
+    top = int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
+    return (int.from_bytes(data, "little") ^ top) - top
+
+
+def _unpack(
+    packed: int, width: int, n: int, corner: list, strides: list, row: int, arity: int, flip: bool = False, keys=None
+) -> dict:
+    """The terms of `packed`, read as n signed `width`-bit slots laid out as
+    _pack lays them, rows `row` slots long, and keyed by inverting _points
+    in `arity` variables (flipped or not).  `keys`, if given, are the keys
+    of the slots in order instead.  `packed` must lie within the slots'
+    signed range.  Adding and xoring the top bit of every slot leaves each
+    in two's complement, read through int.to_bytes: up to 64 bits as an
+    array of signed ints, wider slot by slot; zero slots are dropped in C."""
+    size = width // 8
+    top = int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
+    data = ((packed + top) ^ top).to_bytes(size * n, "little")
+    if width <= 64:
+        slots = array(_SIGNED[width], data)
+        if _BIG_ENDIAN:
+            slots.byteswap()
+    else:
+        slots = [int.from_bytes(data[i : i + size], "little", signed=True) for i in range(0, size * n, size)]
+    if keys is None:  # row by row, as many as the slots fill
+        (r0, k0), (gr, gk) = corner, strides
+        span = range(k0, k0 + row * gk, gk)
+        if arity == 1:
+            keys = zip(count(k0, gk))
+        elif flip:
+            keys = chain.from_iterable(zip(span, range(r - k0, r - span.stop, -gk)) for r in count(r0, gr))
         else:
-            neg[n - 1 - i] = format(-c, fmt)
-    return int("".join(pos), 16) - int("".join(neg), 16)
-
-
-def _unpack(packed: int, h: int, slots: int, lows: list, strides: list, spans: list) -> dict:
-    """The terms of `packed`, read as `slots` signed slots of h hex digits on
-    the box of _box's lows, strides and spans, row-major in (x0, x0 + x1)
-    for two variables.  `packed` must lie within the slots' signed range.
-    Adding 8 in the top hex digit of every slot makes all slots nonnegative,
-    so one hex rendering unpacks them; only power-of-two bases are used, so
-    no int/str digit limit applies."""
-    empty = "8" + "0" * (h - 1)
-    text = format(packed + int(empty * slots, 16), "x").zfill(slots * h)
-    half = 1 << (4 * h - 1)
-    out = {}
-    top = slots - 1
-    if len(spans) == 1:
-        (lo,), (stride,) = lows, strides
-        for j in range(slots):
-            chunk = text[j * h : (j + 1) * h]
-            if chunk != empty:
-                out[(lo + (top - j) * stride,)] = int(chunk, 16) - half
-        return out
-    (lo0, lo1), (g0, g1), span1 = lows, strides, spans[1]
-    for j in range(slots):
-        chunk = text[j * h : (j + 1) * h]
-        if chunk != empty:
-            k0, k1 = divmod(top - j, span1)
-            x0 = lo0 + k0 * g0
-            out[(x0, lo1 + k1 * g1 - x0)] = int(chunk, 16) - half
-    return out
+            keys = chain.from_iterable(zip(repeat(r), range(k0 - r, span.stop - r, gk)) for r in count(r0, gr))
+    return dict(compress(zip(keys, slots), slots))
 
 
 def _text(f: LaurentPoly, first: dict | None, second: dict) -> str:
@@ -877,17 +869,19 @@ def _horner(value: LaurentPoly, groups: dict) -> dict:
     With g the gcd of all the j, each group is x^shift F(v) for v = value^g
     and F(Y) = sum c Y^(j/g) of degree at most D.  Write v = X^L V with L v's
     lowest exponents.  F(v) is one int (Kronecker packing, as in
-    _kronecker_terms) on the box of degree-D sums of v in the coordinates
-    (x0, x0 + x1), with strides that divide every exponent of v, so 0 too.
+    _kronecker_terms) on the box of degree-D sums of v in the _points
+    numbering, with rows along the coordinate v's terms share, as
+    _packed_steps lays out c1's (z^2 = x - 2 + x^(-1) for HOMFLY's z makes
+    one row), and strides that divide every exponent of v, so 0 too.
     Horner's rule: after k steps acc packs the partial sum times X^(-base)
     for base = min(0, -D L) + k L, so every slot index is >= 0; a step
     multiplies acc by V as one shifted, scaled copy per term of V (a power
     of two in a coefficient joins the shift) and adds c at the slot of
     X^(-base).  At k = D, base = min(0, D L).  Every coefficient of F(v) is
     at most sum |c| * ||v||_1^(j/g) in size, which sets the group's slot
-    width; so the final int, though no step before it need be, is read back
-    by _unpack at the group's shift, and one _add_scaled call merges the
-    groups.
+    _width; so the final int, though no step before it need be, is read
+    back by _unpack at the group's shift, and one _add_scaled call merges
+    the groups.
 
     Inputs with fewer than a quarter of the D + 1 powers per group (say
     z^400 + z) are summed term by term instead, one power at a time.
@@ -900,8 +894,8 @@ def _horner(value: LaurentPoly, groups: dict) -> dict:
     if 4 * sum(map(len, groups.values())) < (degree + 1) * len(groups):
         copies = [(shift, c, (value ** j)._terms) for shift, coeffs in groups.items() for j, c in coeffs.items() if c]
         return _add_scaled({}, copies)
-    two = len(next(iter(v))) == 2
-    points = [(x0, x0 + x1) for x0, x1 in v] if two else list(v)
+    flip = len({r for r, _ in _points(v)}) > 1
+    points = _points(v, flip)
     lows, strides, base, spans = [], [], [], []
     top = move = 0  # slot indices, row-major: of the first c, and the move of each next c
     for col in zip(*points):
@@ -912,19 +906,16 @@ def _horner(value: LaurentPoly, groups: dict) -> dict:
         lows.append(lo), strides.append(stride), base.append(low), spans.append(span)
     # Each term of V as (slot, twos, c) with c odd: 2^twos moves into its bits.
     steps = []
-    for point, c in zip(points, v.values()):
-        slot = (point[0] - lows[0]) // strides[0]
-        if two:
-            slot = slot * spans[1] + (point[1] - lows[1]) // strides[1]
+    for (r, k), c in zip(points, v.values()):
         twos = (c & -c).bit_length() - 1
-        steps.append((slot, twos, c >> twos))
+        steps.append(((r - lows[0]) // strides[0] * spans[1] + (k - lows[1]) // strides[1], twos, c >> twos))
     steps.sort()
     norm, slots = sum(map(abs, v.values())), prod(spans)
     pieces = []
-    for shift, coeffs in groups.items():
-        h = sum(abs(c) * norm ** (j // g) for j, c in coeffs.items()).bit_length() // 4 + 1
-        (first, lead), *copies = [(4 * h * i + twos, c) for i, twos, c in steps]
-        acc, at, down = 0, 4 * h * top, 4 * h * move
+    for (shift, coeffs), corner in zip(groups.items(), _points(groups, flip)):
+        width = _width(sum(abs(c) * norm ** (j // g) for j, c in coeffs.items()))
+        (first, lead), *copies = [(width * i + twos, c) for i, twos, c in steps]
+        acc, at, down = 0, width * top, width * move
         for c in map(coeffs.get, range(degree * g, -1, -g)):
             if acc:
                 product = acc << first if lead == 1 else lead * (acc << first)
@@ -939,9 +930,9 @@ def _horner(value: LaurentPoly, groups: dict) -> dict:
             if c:
                 acc += c << at
             at -= down
-        low = [b + x for b, x in zip(base, (shift[0], sum(shift)) if two else shift)]
-        pieces.append(_unpack(acc, h, slots, low, strides, spans))
-    zero = (0,) * len(lows)
+        low = [b + x for b, x in zip(base, corner)]
+        pieces.append(_unpack(acc, width, slots, low, strides, spans[1], len(shift), flip))
+    zero = (0,) * len(shift)
     return _add_scaled(pieces.pop(), [(zero, 1, terms) for terms in pieces])
 
 
@@ -968,9 +959,9 @@ def exact_sqrt(f: LaurentPoly) -> LaurentPoly:
     heap loop alone raises NotAPerfectSquare, so every message is its own.
 
     The packed path returns only a root it has proved.  It packs f once at
-    B = 2^(4h), on f's own exponent box in the coordinates (x0, x0 + x1)
-    that _kronecker_terms numbers, with signed slots that hold +-N and so
-    every c: F = Q(B^span1, B) for the polynomial Q(y, z) of f's slot rows
+    B = 2^width, on f's own exponent box in the _points coordinates
+    (x0, x0 + x1) that _kronecker_terms numbers, with signed slots of the
+    _width that holds +-N and so every c: F = Q(B^span1, B) for the polynomial Q(y, z) of f's slot rows
     and columns (one variable: F = Q(B)).  Then G = isqrt(F) must satisfy
     G * G == F, and G's signed slots, placed at half of f's lowest
     exponents with f's strides, give g and its P with P(B^span1, B) = G.
@@ -1097,25 +1088,23 @@ def exact_sqrt(f: LaurentPoly) -> LaurentPoly:
 def _packed_sqrt(terms: dict, norm: int) -> dict | None:
     """exact_sqrt's packed path: the root's terms, proved as its docstring
     says, or None.  terms are f's, norm is N = isqrt(sum c^2)."""
-    h = norm.bit_length() // 4 + 1  # slots hold +-norm, so every c and every g_i too
-    if 4 * h > _PACKED_SQRT_MAX_BITS:
+    width = _width(norm)  # slots hold +-norm, so every c and every g_i too
+    if width > _PACKED_SQRT_MAX_BITS:
         return None
-    cols = [list(col) for col in zip(*terms)]
-    if len(cols) == 2:
-        cols[1] = [x0 + x1 for x0, x1 in terms]
-    (lows,), strides, spans = _box(cols)
+    points, arity = _points(terms), len(next(iter(terms)))
+    (lows,), strides, spans = _box(points)
     if prod(spans) > 4 * len(terms):
         return None
-    packed = _pack(cols, terms.values(), lows, strides, spans, h)
+    packed = _pack(points, terms.values(), lows, strides, spans[1], width)
     root = isqrt(packed)
     if root * root != packed:
         return None
     halves = [lo // 2 for lo in lows]
     # G's base-B digits, plus one slot: a signed top slot may carry into the next.
-    g_terms = _unpack(root, h, root.bit_length() // (4 * h) + 2, halves, strides, spans)
+    g_terms = _unpack(root, width, root.bit_length() // width + 2, halves, strides, spans[1], arity)
     if sum(c * c for c in g_terms.values()) > norm:
         return None
-    if len(spans) == 2 and 2 * (max(x0 + x1 for x0, x1 in g_terms) - halves[1]) >= strides[1] * spans[1]:
+    if arity == 2 and 2 * (max(k for _, k in _points(g_terms)) - halves[1]) >= strides[1] * spans[1]:
         return None
     return g_terms
 

@@ -166,6 +166,20 @@ class TestArithmetic:
         with pytest.raises(ContextMismatch):
             P("q", CTX_Q) * P("q + p", CTX_QP)
 
+    def test_operands_of_one_context_object_never_compare_contexts(self, monkeypatch):
+        # Nearly every operation combines polynomials of one context object,
+        # which the identity test settles without calling VarContext.__eq__.
+        f, g = P("q + p"), P("q - 2*p^(1/2)")
+        total, product = P("2*q + p - 2*p^(1/2)"), P("q^2 + q*p - 2*q*p^(1/2) - 2*p^(3/2)")
+
+        def refuse(self, other):
+            raise AssertionError("compared a context object with itself")
+
+        monkeypatch.setattr(VarContext, "__eq__", refuse)
+        assert f + g == total
+        assert f * g == product
+        assert f != g and f == P("p + q")
+
     def test_canonical_form_is_unique(self):
         # same polynomial assembled two different ways: identical term maps
         a = P("q + p - q*p")
@@ -511,10 +525,13 @@ class TestExactSqrt:
     def test_square_lacking_a_key_that_its_root_steps_create(self, square, root):
         assert exact_sqrt(P(square, CTX_T)) == P(root, CTX_T)
 
-    def test_square_whose_steps_cancel_keys_ahead_of_them(self):
+    def test_square_whose_steps_cancel_keys_ahead_of_them(self, monkeypatch):
         # 14 of the 44 keys the heap frontier hands out here were cancelled
-        # by a later step before their turn, and are skipped.
+        # by a later step before their turn, and are skipped.  The square is
+        # narrow enough for the packed path, which is turned off here so
+        # that the heap loop makes the root.
         h = homfly_torus(31)
+        monkeypatch.setattr(laurent, "_packed_sqrt", lambda terms, norm: None)
         assert exact_sqrt(h * h) == -h
 
     def test_formal_root_leaving_the_box_rejected(self):
@@ -523,6 +540,13 @@ class TestExactSqrt:
         # already lies outside half of the exponent box [-1, 0].
         with pytest.raises(NotAPerfectSquare, match="outside half the exponent box"):
             exact_sqrt(P("1 + 4*t^(-1)", CTX_T))
+
+    def test_root_term_above_the_half_box_rejected(self):
+        # q^2 - q*p + 3: the root leads with q, so the next root term would
+        # be q*p / q = p, whose p-exponent 1 lies above half of the box's
+        # p range [0, 1].  The box bound stops it before any division.
+        with pytest.raises(NotAPerfectSquare, match="outside half the exponent box"):
+            exact_sqrt(P("q^2 - q*p + 3"))
 
     @pytest.mark.parametrize("e", [200, 4000])
     def test_formal_root_stopped_by_the_norm_bound(self, e):

@@ -301,10 +301,11 @@ def root_of_square(build, n: int) -> None:
     "call, pops",
     [
         (lambda: root_of_square(alexander_torus, 1001), False),  # narrow: the packed path
+        (lambda: root_of_square(generalized_alexander_torus, 301), False),  # two variables, column bound met
         (lambda: root_of_square(homfly_torus, 301), True),  # slots past the width cutoff
         (lambda: k_to_l(JONES.knot_step), True),  # roots of fewer than _KRONECKER_MIN_TERMS terms
     ],
-    ids=["alexander 1001 squared", "homfly 301 squared", "k_to_l jones"],
+    ids=["alexander 1001 squared", "generalized-alexander 301 squared", "homfly 301 squared", "k_to_l jones"],
 )
 def test_which_path_takes_a_root(monkeypatch, call, pops):
     popped = []
@@ -496,12 +497,13 @@ def test_images_that_cancel_to_zero(text, a, z):
 
 @pytest.mark.parametrize("z, a", [("2*q", "q"), ("-2*q^(1/2)*p^(-1/4)", "q^(1/2)*p^(-1/4)"), ("2", "1")])
 @pytest.mark.parametrize("sign", [1, -1])
-@pytest.mark.parametrize("k", range(1, 14))
+@pytest.mark.parametrize("k", [*range(1, 16), 30, 31, 62, 63, 70, 71, 78, 79])
 def test_slot_width_at_a_power_of_two(k, sign, z, a):
     # The slots are sized from the sum of |c_j| * ||z||_1^j, here 2^k and then
     # 2^(k+1), and the result's one coefficient reaches that bound.  k runs
-    # far enough that each slot width from 4 to 16 bits holds the largest
-    # power of two it has room for.  In the second sum a^k is z^k's monomial:
+    # so that each slot width, 8, 16, 32, 64, 72 and 80 bits, meets the
+    # largest power of two it has room for and the one past it, 2^(width-1),
+    # which needs the next width.  In the second sum a^k is z^k's monomial:
     # two shifts, or for z = 2 two powers of z, meet in one slot.
     values = parsed({"a": a, "z": z})
     ((key, c),) = values["z"].terms.items()
@@ -512,6 +514,47 @@ def test_slot_width_at_a_power_of_two(k, sign, z, a):
     ):
         g = f.substitute_poly(CTX_QP, values)
         assert g == LaurentPoly(CTX_QP, {image: coeff}) == naive_substitute(f, CTX_QP, values)
+
+
+SLOT_WIDTHS = (8, 16, 32, 64, 72, 80, 136)
+
+
+@st.composite
+def slot_layouts(draw):
+    """(width, arity, flip, corner, strides, row, n, terms): terms laid out
+    as _pack and _unpack lay them, on n slots of `width` bits in rows of
+    `row` slots from the corner point with the strides.  Every width class
+    _width makes, one variable or two in either orientation, coefficients
+    at +-(2^(width-1) - 1) among others, and a negative top slot."""
+    width, arity = draw(st.sampled_from(SLOT_WIDTHS)), draw(st.sampled_from((1, 2)))
+    flip = arity == 2 and draw(st.booleans())
+    rows, row = (1 if arity == 1 else draw(st.integers(1, 4))), draw(st.integers(1, 8))
+    corner = (0 if arity == 1 else draw(st.integers(-20, 20)), draw(st.integers(-20, 20)))
+    strides = (1 if arity == 1 else draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    edge = 2 ** (width - 1) - 1
+    coeff = st.one_of(st.sampled_from((edge, -edge, 1, -1)), st.integers(-edge, edge))
+    cells = draw(st.dictionaries(st.tuples(st.integers(0, rows - 1), st.integers(0, row - 1)), coeff))
+    cells[(rows - 1, row - 1)] = -draw(st.integers(1, edge))
+    terms = {}
+    for (i, j), c in cells.items():
+        r, k = corner[0] + i * strides[0], corner[1] + j * strides[1]
+        if c:
+            terms[(k,) if arity == 1 else (k, r - k) if flip else (r, k - r)] = c
+    return width, arity, flip, corner, strides, row, rows * row, terms
+
+
+@given(slot_layouts())
+def test_pack_then_unpack_is_the_identity(layout):
+    width, arity, flip, corner, strides, row, n, terms = layout
+    assert laurent._width(2 ** (width - 1) - 1) == width < laurent._width(2 ** (width - 1))
+    points = laurent._points(terms, flip)
+    packed = laurent._pack(points, terms.values(), corner, strides, row, width)
+    slot = [(r - corner[0]) // strides[0] * row + (k - corner[1]) // strides[1] for r, k in points]
+    assert packed == sum(c << width * i for i, c in zip(slot, terms.values()))
+    assert laurent._unpack(packed, width, n, corner, strides, row, arity, flip) == terms
+    if arity == 1:  # a kept key list, read instead of building the keys
+        keys = [(corner[1] + i * strides[1],) for i in range(n)]
+        assert laurent._unpack(packed, width, n, corner, strides, row, arity, flip, keys) == terms
 
 
 def test_a_compiled_substitution_keeps_no_state():

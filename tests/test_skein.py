@@ -464,6 +464,17 @@ def test_row_span_bound_meets_its_edge():
     assert list(islice(qnumbers._steps(*case), 60)) == naive_steps(*case, 60)
 
 
+def test_a_one_row_entry_outgrows_the_row_length():
+    # [n]_{q,p} = q^(n-1) + q^(n-2) p + ... + p^(n-1): c1 = q + p shares
+    # x0 + x1, so every entry is one row, n columns wide.  Packing starts at
+    # [24] with rows 48 slots long; a single row wraps into no other, so the
+    # span check lets [49] and later entries grow past that, and each is
+    # read back in a row as long as its own hull.
+    q, p = parse("q", CTX_QP), parse("p", CTX_QP)
+    case = (q + p, -q * p, LaurentPoly.zero(CTX_QP), LaurentPoly.one(CTX_QP))
+    assert list(islice(qnumbers._steps(*case), 120)) == naive_steps(*case, 120)
+
+
 def kernels_used(monkeypatch, pair: KnotStepPair, n_max: int) -> tuple[list, list]:
     """The odd entries of pair's knot step up to n_max, and for each entry
     after the bases the kernel that made it: "linear" or "packed"."""
