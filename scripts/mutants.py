@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Mutant gate: each fast kernel check, and each part of the frozen records'
-contract, must be one that some test needs.
+"""Mutant gate: each fast kernel check, each part of the frozen records'
+contract, and each guard of the JSON writer and of the context checks must
+be one that some test needs.
 
 Every row of MUTANTS names a file under src/, a snippet that must occur in
 it exactly once, the snippet's replacement (a deliberately broken check),
@@ -34,6 +35,7 @@ SKEIN_TESTS = "tests/test_skein.py"
 PROPERTIES = "tests/test_laurent_properties.py"
 LAURENT_TESTS = "tests/test_laurent.py"
 RECORDS = "tests/test_records.py"
+QNUMBER_TESTS = "tests/test_qnumbers.py"
 
 # (name, file under src/, snippet, replacement, pytest node that must fail)
 MUTANTS = [
@@ -252,6 +254,28 @@ MUTANTS = [
         "return self.__class__, self._values()",
         "return self.__class__, self._values()[:-1]",
         f"{RECORDS}::test_pickle_and_deepcopy_round_trip",
+    ),
+    # The JSON writer, laurent._json, and the context checks that test identity first.
+    (
+        "json: the term memo keyed by the exponent alone",
+        LAURENT,
+        "memo.get(item) or memo.setdefault(item,",
+        "memo.get(item[0]) or memo.setdefault(item[0],",
+        f"{LAURENT_TESTS}::TestJson::test_one_variable_rows_sharing_a_memo_write_their_own_terms",
+    ),
+    (
+        "json: no fallback past the int/str digit limit",
+        LAURENT,
+        "    except ValueError:\n        terms = [",
+        "    except ZeroDivisionError:\n        terms = [",
+        f"{LAURENT_TESTS}::TestJson::test_coefficients_past_the_int_str_digit_limit_round_trip",
+    ),
+    (
+        "contexts: uv_number tests identity only, with no equality fallback",
+        QNUMBERS,
+        "if v.context is not context and v.context != context:",
+        "if v.context is not context:",
+        f"{QNUMBER_TESTS}::TestUVNumber::test_v_from_an_equal_context_object_is_no_context_mismatch",
     ),
 ]
 

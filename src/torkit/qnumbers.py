@@ -42,7 +42,7 @@ def uv_number(n: int, u: LaurentPoly, v: LaurentPoly) -> LaurentPoly:
     if type(n) is not int or n < 0:
         raise ValueError(f"[n]_{{u,v}} is defined for integers n >= 0, got {n!r}")
     context = u.context
-    if v.context != context:
+    if v.context is not context and v.context != context:
         raise ContextMismatch(f"u and v must share one context, got {context.names} and {v.context.names}")
     if u.num_terms != 1 or v.num_terms != 1:
         raise ValueError("[n]_{u,v} needs u and v to be single terms")

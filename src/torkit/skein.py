@@ -78,7 +78,7 @@ class AnsatzMismatch(TorkitError):
 
 
 def _require_same_context(a: LaurentPoly, b: LaurentPoly, what: str) -> None:
-    if a.context != b.context:
+    if a.context is not b.context and a.context != b.context:
         raise ContextMismatch(f"{what} must share one context")
 
 

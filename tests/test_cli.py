@@ -221,6 +221,8 @@ class TestJsonRecordBytes:
     CASES = [
         (("compute", "--family", "generalized-alexander", "--n", "31"), "generalized-alexander",
          lambda n: families.generalized_alexander_torus(n), [31]),
+        (("table", "--family", "alexander", "--n-max", "21"), "alexander",
+         lambda n: families.alexander_torus(n), list(range(1, 22, 2))),
         (("table", "--family", "jones", "--n-max", "9"), "jones", lambda n: families.jones_torus(n), [1, 3, 5, 7, 9]),
         (("table", "--family", "homfly", "--n-max", "7"), "homfly", lambda n: families.homfly_torus(n), [1, 3, 5, 7]),
         (("convert", "--from", "homfly", "--to", "generalized-alexander", "--n", "11"),

@@ -12,7 +12,9 @@ import pytest
 from conftest import CTX_Q, CTX_QP, CTX_T
 from torkit import (
     ContextMismatch,
+    KnotStepPair,
     LaurentPoly,
+    SkeinPair,
     VarContext,
     jones_number,
     parse,
@@ -57,6 +59,24 @@ class TestUVNumber:
     def test_v_from_another_context_rejected(self):
         with pytest.raises(ContextMismatch):
             uv_number(2, parse("q", CTX_Q), T)
+
+    def test_v_from_an_equal_context_object_is_no_context_mismatch(self):
+        # A context is compared by its names, not by which object holds them.
+        assert uv_number(3, T, parse("t", VarContext(("t",)))) == parse("3*t^2", CTX_T)
+
+
+def test_builders_of_one_context_object_never_compare_contexts(monkeypatch):
+    # uv_number and the coefficient pairs settle one context object by
+    # identity, without calling VarContext.__eq__.
+    def refuse(self, other):
+        raise AssertionError("compared a context object with itself")
+
+    monkeypatch.setattr(VarContext, "__eq__", refuse)
+    assert q_number(3).num_terms == 3
+    assert qp_number(3).num_terms == 3
+    assert jones_number(3).num_terms == 3
+    assert SkeinPair(T, -T).l2 == -T
+    assert KnotStepPair(T, T * T).k2 == T * T
 
 
 class TestQNumber:
