@@ -255,14 +255,7 @@ MUTANTS = [
         "return self.__class__, self._values()[:-1]",
         f"{RECORDS}::test_pickle_and_deepcopy_round_trip",
     ),
-    # The JSON writer, laurent._json, and the context checks that test identity first.
-    (
-        "json: the term memo keyed by the exponent alone",
-        LAURENT,
-        "memo.get(item) or memo.setdefault(item,",
-        "memo.get(item[0]) or memo.setdefault(item[0],",
-        f"{LAURENT_TESTS}::TestJson::test_one_variable_rows_sharing_a_memo_write_their_own_terms",
-    ),
+    # The JSON writer, laurent.to_json, and the context checks that test identity first.
     (
         "json: no fallback past the int/str digit limit",
         LAURENT,

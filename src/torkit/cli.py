@@ -24,7 +24,7 @@ from .families import (
     to_alexander,
     to_jones,
 )
-from .laurent import LaurentPoly, TorkitError, _Frozen, _json, _linear, _text, decimal_int, to_json
+from .laurent import LaurentPoly, TorkitError, _Frozen, _linear, _text, decimal_int, to_json
 from .qnumbers import (
     jones_number,
     q_number,
@@ -98,20 +98,12 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     # Each row is printed as the knot step makes it, so only two values are held.
-    # Neighbouring rows repeat most exponents, so text rows share one memo of
-    # powers and JSON rows one memo of one-variable terms.
-    rows = gen_odd_sequence(FAMILIES[args.family].knot_step, args.n_max)
-    if args.format == "json":
-        # Imported here, not at the top: text output never needs json.
-        import json
-
-        # Each row is the bytes OutputRecord(family, n, value, "json").render() writes.
-        head, memo = f'{{"family":{json.dumps(args.family)},"n":', {}
-        for n, value in rows:
-            print(f'{head}{n},"polynomial":{_json(value, memo)}}}')
-    else:
-        first, second = {}, {}
-        for n, value in rows:
+    # Neighbouring rows repeat most exponents, so text rows share one memo of powers.
+    first, second = {}, {}
+    for n, value in gen_odd_sequence(FAMILIES[args.family].knot_step, args.n_max):
+        if args.format == "json":
+            print(OutputRecord(args.family, n, value, "json").render())
+        else:
             print(f"{n}\t{_text(value, first, second)}")
     return 0
 
@@ -267,12 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
     Sharing is safe because the parser holds only objects made at import: the
     cmd_* functions, decimal_int, FAMILY_NAMES and the keys of _NUMBER_KINDS.
     Each cmd_* looks up FAMILIES, _CONVERSIONS, run_verification,
-    gen_odd_sequence and OutputRecord.render, which looks up to_json, when it
-    runs, and cmd_table looks up _text and _json, which write its rows
-    without a record, so wrappers set on those after the first call
-    (tracers, monkeypatches) still take effect.  argparse writes help, usage
-    and errors to whatever sys.stdout and sys.stderr are when it writes, so
-    redirect_stdout and capsys still capture them.
+    gen_odd_sequence, _text (text table rows) and OutputRecord.render, which
+    looks up to_json, when it runs, so wrappers set on those after the first
+    call (tracers, monkeypatches) still take effect.  argparse writes help,
+    usage and errors to whatever sys.stdout and sys.stderr are when it
+    writes, so redirect_stdout and capsys still capture them.
     """
     parser = argparse.ArgumentParser(
         prog="torkit",

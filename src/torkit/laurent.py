@@ -1288,34 +1288,19 @@ def _other_key(obj: dict, *keys: str) -> str:
 def to_json(f: LaurentPoly) -> str:
     """The compact JSON text of to_json_obj(f): byte-identical to
     json.dumps(to_json_obj(f), separators=(",", ":")), for exponents and
-    coefficients of any size."""
-    return _json(f, None)
+    coefficients of any size.
 
-
-def _json(f: LaurentPoly, memo: dict | None) -> str:
-    """to_json(f), with each one-variable term's text memoized.
-
-    memo maps a one-variable (key, coefficient) item to its term's text, and
-    any item not yet in it is written and added, so a caller writing many
-    polynomials of one context (a table's rows) can pass the same dict to
-    each.  It may be None for a polynomial written alone, and two-variable
-    terms never use it: a table's rows share no two-variable item.  The
-    terms are written with str in one comprehension; an exponent or
-    coefficient past the int/str digit limit makes that pass raise
-    ValueError, and the terms are written again through _decimal.
+    The terms are written with str in one comprehension per arity; an
+    exponent or coefficient past the int/str digit limit makes that pass
+    raise ValueError, and the terms are written again through _decimal.
     """
     # Sorted by key alone: comparing two items compares their keys twice.
     items = sorted(f._terms.items(), key=itemgetter(0), reverse=True)
     try:
         if len(f._context) == 2:
             terms = [f'{{"exp":[{e0},{e1}],"coeff":"{c}"}}' for (e0, e1), c in items]
-        elif memo is None:
-            terms = [f'{{"exp":[{e}],"coeff":"{c}"}}' for (e,), c in items]
         else:
-            terms = [
-                memo.get(item) or memo.setdefault(item, f'{{"exp":[{item[0][0]}],"coeff":"{item[1]}"}}')
-                for item in items
-            ]
+            terms = [f'{{"exp":[{e}],"coeff":"{c}"}}' for (e,), c in items]
     except ValueError:
         terms = [f'{{"exp":[{",".join(map(_decimal, key))}],"coeff":"{_decimal(c)}"}}' for key, c in items]
     # Variable names are ASCII word characters, which JSON writes as they are.
