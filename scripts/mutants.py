@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Mutant gate: each fast kernel check, each part of the frozen records'
-contract, and each guard of the JSON writer and of the context checks must
-be one that some test needs.
+"""Mutant gate: each fast kernel check, the dict step's accumulate loop,
+each part of the frozen records' contract, and each guard of the JSON
+writer and of the context checks must be one that some test needs.
 
 Every row of MUTANTS names a file under src/, a snippet that must occur in
 it exactly once, the snippet's replacement (a deliberately broken check),
@@ -34,12 +34,13 @@ QNUMBERS = "torkit/qnumbers.py"
 SKEIN_TESTS = "tests/test_skein.py"
 PROPERTIES = "tests/test_laurent_properties.py"
 LAURENT_TESTS = "tests/test_laurent.py"
+MULTIPLY_TESTS = "tests/test_multiply.py"
 RECORDS = "tests/test_records.py"
 QNUMBER_TESTS = "tests/test_qnumbers.py"
 
 # (name, file under src/, snippet, replacement, pytest node that must fail)
 MUTANTS = [
-    # The packed recurrence kernel, laurent._packed_steps.
+    # The recurrence stepper, laurent._steps, and its packed kernel, laurent._packed_steps.
     (
         "recurrence: a bound of exactly `width` bits kept in `width`-bit slots (no sign bit)",
         LAURENT,
@@ -91,10 +92,39 @@ MUTANTS = [
     ),
     (
         "recurrence: no small-entry cutoff",
-        QNUMBERS,
+        LAURENT,
         "while cur.num_terms < _PACKED_MIN_TERMS:",
         "while cur.num_terms < 0:",
         f"{SKEIN_TESTS}::test_which_kernel_steps_each_entry",
+    ),
+    # The dict step, laurent._linear, and the accumulate loop it shares, laurent._add_scaled.
+    (
+        "linear: no delete on cancel in the one-variable loop",
+        LAURENT,
+        "                    del out[k]\n        else:",
+        "                    out[k] = v\n        else:",
+        f"{MULTIPLY_TESTS}::test_linear_matches_schoolbook",
+    ),
+    (
+        "linear: x's terms aliased as the first copy when c1 leads with 1",
+        LAURENT,
+        "_add_scaled(_scale_terms({key: c}, terms), rest)",
+        "_add_scaled(terms if c == 1 and not any(key) else _scale_terms({key: c}, terms), rest)",
+        f"{MULTIPLY_TESTS}::test_linear_matches_schoolbook",
+    ),
+    (
+        "linear: the shift's sign flipped in the one-variable loop",
+        LAURENT,
+        "k = (e + s,)",
+        "k = (e - s,)",
+        f"{MULTIPLY_TESTS}::test_linear_matches_schoolbook",
+    ),
+    (
+        "linear: the shift's sign flipped in the two-variable loop",
+        LAURENT,
+        "k = (e0 + s0, e1 + s1)",
+        "k = (e0 - s0, e1 - s1)",
+        f"{MULTIPLY_TESTS}::test_linear_matches_schoolbook",
     ),
     # exact_sqrt's packed path, laurent._packed_sqrt.
     (
@@ -233,12 +263,12 @@ MUTANTS = [
         "budget = norm - lc - 1",
         f"{LAURENT_TESTS}::TestExactSqrt::test_perfect_square_binomial",
     ),
-    # The frozen records' base, laurent._Frozen, and VarContext's own equality.
+    # The frozen records' base, laurent._Frozen.
     (
-        "records: VarContext.__eq__ without its class check",
+        "records: the base's __eq__ without its class check",
         LAURENT,
-        "if other.__class__ is self.__class__:\n            return self.names == other.names",
-        "if True:\n            return self.names == other.names",
+        "if other.__class__ is self.__class__:\n            return self._values() == other._values()",
+        "if True:\n            return self._values() == other._values()",
         f"{RECORDS}::test_equality_holds_only_within_one_class",
     ),
     (

@@ -130,16 +130,6 @@ class VarContext(_Frozen):
                 raise ValueError(f"invalid variable name {name!r}")
         super().__init__(names)
 
-    # Written out rather than inherited: every binary polynomial operation
-    # compares contexts, so this is the one record comparison on a hot path.
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self.names == other.names
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.names)
-
     def __len__(self) -> int:
         return len(self.names)
 
@@ -362,9 +352,33 @@ class LaurentPoly:
         return f"LaurentPoly({self._context.names}, {self.canonical_string()!r})"
 
 
+def _steps(c1: LaurentPoly, c2: LaurentPoly, first: LaurentPoly, second: LaurentPoly) -> Iterator[LaurentPoly]:
+    """first, second, then P(n+1) = c1 P(n) + c2 P(n-1) for each later entry,
+    holding only the two entries the next step reads: the one recurrence stepper.
+
+    While cur has fewer than _PACKED_MIN_TERMS terms a step is one _linear
+    call.  From there on _packed_steps makes each entry on one
+    Kronecker-packed int, until a step would need slots wider than 64 bits
+    (HOMFLY's knot step from n = 97) or more than _PACKED_SLOTS_PER_TERM
+    slots per term of cur; it stops at once when c1, c2, prev or cur is zero
+    or c1's terms share neither coordinate.  _linear takes the rest.
+    """
+    prev, cur = first, second
+    yield prev
+    yield cur
+    while cur.num_terms < _PACKED_MIN_TERMS:
+        prev, cur = cur, _linear(c1, cur, c2, prev)
+        yield cur
+    for entry in _packed_steps(c1, c2, prev, cur):
+        prev, cur = cur, entry
+        yield cur
+    while True:
+        prev, cur = cur, _linear(c1, cur, c2, prev)
+        yield cur
+
+
 def _linear(c1: LaurentPoly, x: LaurentPoly, c2: LaurentPoly, y: LaurentPoly) -> LaurentPoly:
-    """c1*x + c2*y in one dict: the steps of qnumbers._steps that are not
-    packed, and the left side of verify's skein-form check.
+    """c1*x + c2*y in one dict.
 
     The first term of c1 gives a shifted, scaled copy of x's terms; every
     other term of c1 (on x) and of c2 (on y) is added into that dict by
@@ -381,11 +395,8 @@ def _linear(c1: LaurentPoly, x: LaurentPoly, c2: LaurentPoly, y: LaurentPoly) ->
 
 
 def _packed_steps(c1: LaurentPoly, c2: LaurentPoly, prev: LaurentPoly, cur: LaurentPoly) -> Iterator[LaurentPoly]:
-    """The entries after cur of P(n+1) = c1 P(n) + c2 P(n-1), each made on
-    one Kronecker-packed int.  It returns, for the caller to go on with
-    _linear, when a step would need slots wider than 64 bits or more than
-    _PACKED_SLOTS_PER_TERM slots per term of cur, and at once when c1, c2,
-    prev or cur is zero or c1's terms share neither coordinate.
+    """The entries after cur, each on one Kronecker-packed int, for as long
+    as _steps' hand-back rules allow.
 
     Layout: keys are _points whose row is the coordinate c1's terms share,
     x0 or else x0 + x1, each coordinate divided by its gcd over c1, c2,
@@ -487,13 +498,12 @@ _KRONECKER_MIN_TERMS = 24
 # variable breaks even near 270 bits.
 _PACKED_SQRT_MAX_BITS = 128
 
-# qnumbers._steps packs the recurrence once an entry has this many terms;
+# _steps packs the recurrence once an entry has this many terms;
 # packing costs about five _linear steps, which a sequence that ends soon
 # after does not win back.  Whole `verify --n-max 21 / 41 / 61` runs took
 # 1.00 / 1.00 / 0.93 of the time of _linear alone from 24 terms, and
 # 1.12 / 0.98 / 0.92 from 16.
 _PACKED_MIN_TERMS = 24
-# _packed_steps hands over to _linear past this many slots per term of cur.
 _PACKED_SLOTS_PER_TERM = 8
 # Signed array typecodes by slot width in bits, and the byte order _pack and _unpack meet.
 _SIGNED = {8 * array(code).itemsize: code for code in "qlihb"}

@@ -12,19 +12,16 @@ the one place that builds it.  The named cases are the symmetric q-number
 
 so it is the Lucas sequence U_n of the knot step (u + v, -uv), the U of
 the families' closed forms.  verify_q_recurrence and verify_qp_recurrence
-confirm it by exact polynomial equality against _steps, the one recurrence
-stepper, which skein's sequences run too.  It steps small entries with
-laurent._linear, then each entry as one Kronecker-packed int
-(laurent._packed_steps) for as long as the slots fit in 64 bits.
+confirm it by exact polynomial equality against laurent._steps, the one
+recurrence stepper.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from functools import cache
 from itertools import islice, repeat
 
-from .laurent import _PACKED_MIN_TERMS, ContextMismatch, LaurentPoly, VarContext, _linear, _packed_steps, parse
+from .laurent import ContextMismatch, LaurentPoly, VarContext, _steps, parse
 from .report import CheckReport, compare
 
 
@@ -94,31 +91,6 @@ def qp_number(n: int) -> LaurentPoly:
 def jones_number(n: int) -> LaurentPoly:
     """[n]_{t^3,t}, the sum of the n monomials t^(3(n-1-j)+j)."""
     return uv_number(n, *_JONES_PAIR)
-
-
-def _steps(
-    c1: LaurentPoly, c2: LaurentPoly, first: LaurentPoly, second: LaurentPoly
-) -> Iterator[LaurentPoly]:
-    """first, second, then c1 * cur + c2 * prev for each later entry, holding
-    only the two entries the next step reads.  While cur has fewer than
-    _PACKED_MIN_TERMS terms a step is one fused _linear call, which merges
-    the shifted, scaled copies of cur and prev into one dict; from there on
-    _packed_steps adds them as big ints, until its proofs need slots wider
-    than 64 bits (HOMFLY's knot step from n = 97), and _linear takes the
-    rest.  This is the one recurrence stepper: the skein steps run it with
-    (l1, l2) and (k1, k2), the recurrence checks with (u + v, -uv)."""
-    prev, cur = first, second
-    yield prev
-    yield cur
-    while cur.num_terms < _PACKED_MIN_TERMS:
-        prev, cur = cur, _linear(c1, cur, c2, prev)
-        yield cur
-    for entry in _packed_steps(c1, c2, prev, cur):
-        prev, cur = cur, entry
-        yield cur
-    while True:
-        prev, cur = cur, _linear(c1, cur, c2, prev)
-        yield cur
 
 
 def _verify_recurrence(name: str, build, pair, n_max: int) -> CheckReport:

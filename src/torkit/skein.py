@@ -17,7 +17,7 @@ knot values collapse to an ansatz in two-parameter numbers:
 whose coefficients fit_ansatz determines from the first two knots and then
 verifies against every entry it is given.  On a knot-step sequence the fit
 is (1, -k2): [m]_{u,v} is then the Lucas sequence U_m of (k1, k2), and
-every knot value is U_{m+1} + k2 U_m.  Both steps run qnumbers._steps.
+every knot value is U_{m+1} + k2 U_m.  Both steps run laurent._steps.
 """
 
 from __future__ import annotations
@@ -32,9 +32,10 @@ from .laurent import (
     TorkitError,
     VarContext,
     _Frozen,
+    _steps,
     exact_sqrt,
 )
-from .qnumbers import _steps, uv_number
+from .qnumbers import uv_number
 
 
 class InvalidTorusIndex(TorkitError, ValueError):

@@ -6,8 +6,9 @@ HOMFLY stops at the two-parameter split, and every other family's closed form
 agrees with its recurrence.  The `## Library` block runs as written and
 prints what its comments say.  `torkit.__all__` names exactly the public
 names the package binds, apart from its submodules.  No module but
-`laurent` reads a polynomial's private term dict.  Every Python file of the
-repository compiles with warnings as errors.
+`laurent` reads a polynomial's private term dict or names the parts of its
+recurrence stepper.  Every Python file of the repository compiles with
+warnings as errors.
 """
 
 from __future__ import annotations
@@ -81,6 +82,22 @@ def test_only_laurent_reads_term_dicts():
         if isinstance(node, ast.Attribute) and node.attr == "_terms"
     ]
     assert readers == []
+
+
+def test_only_laurent_names_the_packed_stepper():
+    # How a recurrence is stepped is decided in one module: every other
+    # module steps through laurent._steps and names none of its parts.
+    parts = {"_packed_steps", "_PACKED_MIN_TERMS", "_PACKED_SLOTS_PER_TERM"}
+    namers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "torkit").glob("*.py"))
+        if path.name != "laurent.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and node.id in parts
+        or isinstance(node, ast.Attribute) and node.attr in parts
+        or isinstance(node, ast.alias) and {node.name, node.asname} & parts
+    ]
+    assert namers == []
 
 
 @pytest.mark.parametrize("folder", ["src", "scripts", "tests", "perfbench"])

@@ -36,7 +36,7 @@ from torkit import (
     solve_parameters,
     uv_number,
 )
-from torkit import laurent, qnumbers, skein
+from torkit import laurent, skein
 from torkit.skein import odd_index
 
 
@@ -419,7 +419,7 @@ def recurrences(draw):
 @given(recurrences())
 @settings(max_examples=150, deadline=None)
 def test_steps_match_the_naive_stepper(case):
-    assert list(islice(qnumbers._steps(*case), 24)) == naive_steps(*case, 24)
+    assert list(islice(laurent._steps(*case), 24)) == naive_steps(*case, 24)
 
 
 def run_of(terms: int, context=CTX_T) -> LaurentPoly:
@@ -438,7 +438,7 @@ def run_of(terms: int, context=CTX_T) -> LaurentPoly:
     ids=["an entry cancels to zero", "c1 shares no row coordinate"],
 )
 def test_steps_match_the_naive_stepper_at_the_edges(case):
-    assert list(islice(qnumbers._steps(*case), 40)) == naive_steps(*case, 40)
+    assert list(islice(laurent._steps(*case), 40)) == naive_steps(*case, 40)
 
 
 def test_slot_width_bound_is_tight_at_every_width():
@@ -449,7 +449,7 @@ def test_slot_width_bound_is_tight_at_every_width():
     # F(93) = 12200160415121876738 would need 65, so _linear makes it.
     t, run = parse("t^(1/4)", CTX_T), run_of(30)
     case = (t, t * t, run, t * run)
-    assert list(islice(qnumbers._steps(*case), 100)) == naive_steps(*case, 100)
+    assert list(islice(laurent._steps(*case), 100)) == naive_steps(*case, 100)
 
 
 def test_row_span_bound_meets_its_edge():
@@ -461,7 +461,7 @@ def test_row_span_bound_meets_its_edge():
     # onto the first column of the second.
     c1, first = parse("p^(1/4) + p^(-1/4)", CTX_QP), parse("1 + q^(1/4)*p^(-1/4)", CTX_QP)
     case = (c1, parse("-1", CTX_QP), first, c1 * first)
-    assert list(islice(qnumbers._steps(*case), 60)) == naive_steps(*case, 60)
+    assert list(islice(laurent._steps(*case), 60)) == naive_steps(*case, 60)
 
 
 def test_a_one_row_entry_outgrows_the_row_length():
@@ -472,14 +472,14 @@ def test_a_one_row_entry_outgrows_the_row_length():
     # read back in a row as long as its own hull.
     q, p = parse("q", CTX_QP), parse("p", CTX_QP)
     case = (q + p, -q * p, LaurentPoly.zero(CTX_QP), LaurentPoly.one(CTX_QP))
-    assert list(islice(qnumbers._steps(*case), 120)) == naive_steps(*case, 120)
+    assert list(islice(laurent._steps(*case), 120)) == naive_steps(*case, 120)
 
 
 def kernels_used(monkeypatch, pair: KnotStepPair, n_max: int) -> tuple[list, list]:
     """The odd entries of pair's knot step up to n_max, and for each entry
     after the bases the kernel that made it: "linear" or "packed"."""
     made = []
-    linear, packed = qnumbers._linear, qnumbers._packed_steps
+    linear, packed = laurent._linear, laurent._packed_steps
 
     def counting_linear(*step):
         made.append("linear")
@@ -490,8 +490,8 @@ def kernels_used(monkeypatch, pair: KnotStepPair, n_max: int) -> tuple[list, lis
             made.append("packed")
             yield entry
 
-    monkeypatch.setattr(qnumbers, "_linear", counting_linear)
-    monkeypatch.setattr(qnumbers, "_packed_steps", counting_packed)
+    monkeypatch.setattr(laurent, "_linear", counting_linear)
+    monkeypatch.setattr(laurent, "_packed_steps", counting_packed)
     return list(dict(gen_odd_sequence(pair, n_max)).values()), made
 
 
