@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Mutant gate: each fast kernel check, the dict step's accumulate loop,
-each part of the frozen records' contract, and each guard of the JSON
-writer and of the context checks must be one that some test needs.
+each part of the frozen records' contract, each guard of the JSON writer
+and of the context checks, and each part of verify's finite obligations
+and of its sample must be one that some test needs.
 
 Every row of MUTANTS names a file under src/, a snippet that must occur in
 it exactly once, the snippet's replacement (a deliberately broken check),
@@ -37,6 +38,8 @@ LAURENT_TESTS = "tests/test_laurent.py"
 MULTIPLY_TESTS = "tests/test_multiply.py"
 RECORDS = "tests/test_records.py"
 QNUMBER_TESTS = "tests/test_qnumbers.py"
+CLI = "torkit/cli.py"
+OBLIGATION_TESTS = "tests/test_obligations.py"
 
 # (name, file under src/, snippet, replacement, pytest node that must fail)
 MUTANTS = [
@@ -299,6 +302,35 @@ MUTANTS = [
         "if v.context is not context and v.context != context:",
         "if v.context is not context:",
         f"{QNUMBER_TESTS}::TestUVNumber::test_v_from_an_equal_context_object_is_no_context_mismatch",
+    ),
+    # verify's finite obligations and the sample its proved checks evaluate, in cli.
+    (
+        "obligations: a substitution's without its k2' equality",
+        CLI,
+        """        ("phi(k2') = k2'", mapping(s.k2), t.k2),\n""",
+        "",
+        f"{OBLIGATION_TESTS}::test_substitution_obligation_checks_k2",
+    ),
+    (
+        "obligations: interleave's without l_to_k(skein) == knot_step",
+        CLI,
+        """        ("l_to_k(skein) = knot_step", _pair(l_to_k(spec.skein)), _pair(spec.knot_step)),\n""",
+        "",
+        f"{OBLIGATION_TESTS}::test_interleave_obligation_checks_the_knot_step",
+    ),
+    (
+        "obligations: skein-form's without its c_minus equality",
+        CLI,
+        """        ("c_plus*l2 = -c_minus", c_plus * spec.skein.l2, -c_minus),\n""",
+        "",
+        f"{OBLIGATION_TESTS}::test_skein_form_obligation_checks_c_minus",
+    ),
+    (
+        "obligations: a sample that drops n = n_max",
+        CLI,
+        "return [*low, n_max] if n_max > _SAMPLED_UP_TO else list(low)",
+        "return list(low)",
+        f"{OBLIGATION_TESTS}::test_the_sample_is_every_n_up_to_21_and_n_max",
     ),
 ]
 

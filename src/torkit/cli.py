@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from functools import cache
 
 from .families import (
@@ -32,7 +32,7 @@ from .qnumbers import (
     verify_q_recurrence,
     verify_qp_recurrence,
 )
-from .report import CheckReport, compare, counterexample
+from .report import CheckReport, compare, counterexample, prove, unmet
 from .skein import (
     InvalidTorusIndex,
     KnotStepPair,
@@ -126,6 +126,66 @@ def cmd_qnum(args: argparse.Namespace) -> int:
 
 # -- the verification battery -------------------------------------------------
 
+# A proved check still evaluates its identity at every n up to this bound, and at n_max.
+_SAMPLED_UP_TO = 21
+
+
+def sample(n_max: int, start: int, step: int) -> list[int]:
+    """The n a proved check evaluates: start, start + step, ... up to
+    _SAMPLED_UP_TO, and n_max itself."""
+    low = range(start, min(n_max, _SAMPLED_UP_TO) + 1, step)
+    return [*low, n_max] if n_max > _SAMPLED_UP_TO else list(low)
+
+
+def _pair(step: KnotStepPair) -> str:
+    return f"({step.k1}, {step.k2})"
+
+
+def closed_form_obligation(spec: FamilySpec) -> str:
+    """(k1', k2') == knot_step: then U_{m+1} + k2' U_m, which steps by the
+    Lucas pair (k1', k2') from P(1) = 1 and P(3) = k1' + k2', is the knot
+    step's P(2m+1) for every m.  unmet's text, "" when it holds."""
+    return unmet([("(k1', k2') = knot_step", _pair(spec.lucas_pair), _pair(spec.knot_step))])
+
+
+def substitution_obligation(
+    mapping: Callable[[LaurentPoly], LaurentPoly], source: FamilySpec, target: FamilySpec
+) -> str:
+    """phi carries source's Lucas pair and its P(1), P(3) onto target's: then
+    phi(P_S(n)) = P_T(n) for every odd n, both sides stepping by one pair
+    from the same two values.  unmet's text, "" when it holds."""
+    s, t = source.lucas_pair, target.lucas_pair
+    return unmet([
+        ("phi(k1') = k1'", mapping(s.k1), t.k1),
+        ("phi(k2') = k2'", mapping(s.k2), t.k2),
+        ("phi(P(1)) = P(1)", mapping(source.value(1)), target.value(1)),
+        ("phi(P(3)) = P(3)", mapping(source.value(3)), target.value(3)),
+    ])
+
+
+def interleave_obligation(spec: FamilySpec) -> str:
+    """l_to_k(skein) == knot_step and l1*hopf = l1^2 + l2 - l2^2: then the
+    odd entries of the full step from (1, hopf) step by the knot step from
+    P(1) = 1 and P(3) = l1*hopf + l2 = k1 + k2, so they are the knot step's
+    values at every odd n.  unmet's text, "" when it holds."""
+    l1, l2 = spec.skein.l1, spec.skein.l2
+    return unmet([
+        ("l_to_k(skein) = knot_step", _pair(l_to_k(spec.skein)), _pair(spec.knot_step)),
+        ("l1*hopf = l1^2 + l2 - l2^2", l1 * spec.hopf, l1 * l1 + l2 - l2 * l2),
+    ])
+
+
+def skein_form_obligation(spec: FamilySpec) -> str:
+    """c_plus*l1 = c_zero and c_plus*l2 = -c_minus: then c_plus times the
+    full step P(n) = l1 P(n-1) + l2 P(n-2) is the skein triple at every n.
+    unmet's text, "" when it holds."""
+    c_plus, c_minus, c_zero = spec.skein_form
+    return unmet([
+        ("c_plus*l1 = c_zero", c_plus * spec.skein.l1, c_zero),
+        ("c_plus*l2 = -c_minus", c_plus * spec.skein.l2, -c_minus),
+    ])
+
+
 def run_verification(
     n_max: int, registry: dict[str, FamilySpec] | None = None
 ) -> list[CheckReport]:
@@ -135,14 +195,37 @@ def run_verification(
     T(3,2); anything else raises InvalidTorusIndex.  Each family's inputs are
     built once, inside the guard of the first check that reads them, shared
     by the checks after it, and released after the last.
+
+    Four kinds of check are proved for every n by a finite obligation, each
+    resting on one fact: two sequences that step by the same order-2
+    recurrence and agree at two starting values agree everywhere.  The
+    obligation of each, and what it assumes:
+
+    - closed-form-vs-recurrence[f]: closed_form_obligation.  It assumes U is
+      the Lucas sequence of lucas_pair, so this check still sweeps every odd
+      n <= n_max; that sweep and the q/qp-number checks test the Lucas code.
+    - substitute[S->T]: substitution_obligation.  It assumes the map is a
+      ring homomorphism; the tests check each substitution kernel against a
+      term-by-term expansion with schoolbook products.
+    - interleave[f], for each family with a hopf value: interleave_obligation.
+    - skein-form[f], for every n, not only odd n: skein_form_obligation.
+
+    The interleave and skein-form obligations assume laurent._steps steps
+    its recurrence correctly; the tests check it against a naive stepper.
+    The substitute, interleave and skein-form checks evaluate their identity
+    only at sample(n_max, ...): every odd n (every n >= 3 for skein-form) up
+    to 21, and n_max.  A sampled mismatch fails a proved check with its
+    first counterexample; failing that, an unmet obligation fails it and
+    names the equality, with both sides.
     """
     if odd_index(n_max) < 1:
         raise InvalidTorusIndex(f"verification needs n_max >= 3, got {n_max}: fit_ansatz needs T(3,2)")
     reg = registry if registry is not None else FAMILIES
+    every_odd, odd = range(1, n_max + 1, 2), sample(n_max, 1, 2)
 
     @cache
     def values(family: str) -> dict[int, LaurentPoly]:
-        return {n: reg[family].value(n) for n in range(1, n_max + 1, 2)}
+        return {n: reg[family].value(n) for n in every_odd}
 
     @cache
     def recurrence(family: str) -> dict[int, LaurentPoly]:
@@ -156,12 +239,15 @@ def run_verification(
 
     def agree(
         name: str,
+        obligation: str,
         lhs: dict[int, LaurentPoly],
         rhs: dict[int, LaurentPoly],
+        ns: Iterable[int],
         mapping: Callable[[LaurentPoly], LaurentPoly] = lambda value: value,
     ) -> CheckReport:
-        # mapping(lhs[n]) against rhs[n] for every n that rhs holds.
-        return compare(name, ((n, mapping(lhs[n]), value) for n, value in rhs.items()))
+        # mapping(lhs[n]) against rhs[n] for each n of ns: the samples of an
+        # identity that the obligation proves for every odd n.
+        return prove(name, obligation, ((n, mapping(lhs[n]), rhs[n]) for n in ns), "all odd n")
 
     def qp_reduction(name: str) -> CheckReport:
         cases = ((n, to_alexander(qp_number(n)), q_number(n, "t")) for n in range(n_max + 1))
@@ -179,16 +265,17 @@ def run_verification(
     def roundtrip(name: str, family: str) -> CheckReport:
         k = l_to_k(reg[family].skein)
         again = l_to_k(k_to_l(k))
-        return compare(name, [(0, f"({again.k1}, {again.k2})", f"({k.k1}, {k.k2})")])
+        return compare(name, [(0, _pair(again), _pair(k))])
 
     def skein_form(name: str, family: str) -> CheckReport:
+        spec = reg[family]
         seq = full(family)
-        c_plus, c_minus, c_zero = reg[family].skein_form
+        c_plus, c_minus, c_zero = spec.skein_form
         cases = (
             (n, _linear(c_plus, seq[n], c_minus, seq[n - 2]), c_zero * seq[n - 1])
-            for n in range(3, n_max + 1)
+            for n in sample(n_max, 3, 1)
         )
-        return compare(name, cases)
+        return prove(name, skein_form_obligation(spec), cases, "all n")
 
     reports = []
 
@@ -202,10 +289,18 @@ def run_verification(
     # run calls each check at once, so a lambda reads its loop's current
     # names, and the check builds the inputs it reads inside the guard.  An
     # input is cleared once no later check reads it.
-    for f in reg:
-        run(f"closed-form-vs-recurrence[{f}]", lambda name: agree(name, recurrence(f), values(f)))
+    for f, spec in reg.items():
+        run(
+            f"closed-form-vs-recurrence[{f}]",
+            lambda name: agree(name, closed_form_obligation(spec), recurrence(f), values(f), every_odd),
+        )
     for (s, t), mapping in _CONVERSIONS.items():
-        run(f"substitute[{s}->{t}]", lambda name: agree(name, values(s), values(t), mapping))
+        run(
+            f"substitute[{s}->{t}]",
+            lambda name: agree(
+                name, substitution_obligation(mapping, reg[s], reg[t]), values(s), values(t), odd, mapping
+            ),
+        )
     values.cache_clear()
     run("q-number-recurrence", lambda name: verify_q_recurrence(n_max))
     run("qp-number-recurrence", lambda name: verify_qp_recurrence(n_max))
@@ -216,7 +311,10 @@ def run_verification(
     # The odd entries of the full step against the family's own knot step.
     for f, spec in reg.items():
         if spec.hopf is not None:
-            run(f"interleave[{f}]", lambda name: agree(name, full(f), recurrence(f)))
+            run(
+                f"interleave[{f}]",
+                lambda name: agree(name, interleave_obligation(spec), full(f), recurrence(f), odd),
+            )
     recurrence.cache_clear()
     for f in reg:
         run(f"k-roundtrip[{f}]", lambda name: roundtrip(name, f))

@@ -61,16 +61,21 @@ class FamilySpec(_Frozen):
     """Everything one invariant family carries.
 
     skein_form holds (c_plus, c_minus, c_zero) of the defining relationship;
-    skein and knot_step are derived from it; closed_form maps m to the
-    T(2m+1,2) value U_{m+1} + k2 U_m with k2 bound when the family is built,
-    so it never reads knot_step.  hopf, when present, is the n=2 link
-    value consistent with the knot values (the generalized family has none:
-    l1 * base2 = l1^2 + l2 - l2^2 has no Laurent-polynomial solution there).
+    skein and knot_step are derived from it.  lucas_pair is the (k1', k2')
+    of the family's Lucas sequence U, read off U itself (U_2 = k1',
+    U_3 = k1'^2 + k2'), and closed_form maps m to the T(2m+1,2) value
+    U_{m+1} + k2' U_m, so it never reads knot_step; it meets the knot step
+    at every n when lucas_pair == knot_step.  hopf, when present, is the n=2
+    link value consistent with the knot values (the generalized family has
+    none: l1 * base2 = l1^2 + l2 - l2^2 has no Laurent-polynomial solution
+    there).
     ansatz, when present, is the paper's (a1, a2), the oracle that verify
     checks fit_ansatz against (homfly has none: the fit needs its second shape).
     """
 
-    __slots__ = ("name", "context", "skein_form", "skein", "knot_step", "closed_form", "hopf", "ansatz")
+    __slots__ = (
+        "name", "context", "skein_form", "skein", "knot_step", "closed_form", "lucas_pair", "hopf", "ansatz",
+    )
 
     def __init__(
         self,
@@ -80,10 +85,11 @@ class FamilySpec(_Frozen):
         skein: SkeinPair,
         knot_step: KnotStepPair,
         closed_form: Callable[[int], LaurentPoly],
+        lucas_pair: KnotStepPair,
         hopf: LaurentPoly | None = None,
         ansatz: tuple[LaurentPoly, LaurentPoly] | None = None,
     ):
-        super().__init__(name, context, skein_form, skein, knot_step, closed_form, hopf, ansatz)
+        super().__init__(name, context, skein_form, skein, knot_step, closed_form, lucas_pair, hopf, ansatz)
 
     def value(self, n: int) -> LaurentPoly:
         """The T(n,2) value for odd n, from the closed form."""
@@ -113,15 +119,18 @@ def _build_family(
     # division is the exact power c_plus ** -1 (for jones, c_plus = t^(-1): times t).
     inv = plus ** -1
     pair = SkeinPair(zero * inv, -(minus * inv))
-    knot_step = l_to_k(pair)
-    k2 = knot_step.k2
+    # U_0 = 0 and U_1 = 1, so U_2 = k1' and U_3 = k1' U_2 + k2' U_1 = k1'^2 + k2'.
+    u2 = lucas(2)
+    lucas_pair = KnotStepPair(u2, lucas(3) - u2 * u2)
+    k2 = lucas_pair.k2
     return FamilySpec(
         name=name,
         context=context,
         skein_form=(plus, minus, zero),
         skein=pair,
-        knot_step=knot_step,
+        knot_step=l_to_k(pair),
         closed_form=lambda m: lucas(m + 1) + k2 * lucas(m),
+        lucas_pair=lucas_pair,
         hopf=parse(hopf, context) if hopf else None,
         ansatz=(parse(ansatz[0], context), parse(ansatz[1], context)) if ansatz else None,
     )

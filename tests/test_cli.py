@@ -440,7 +440,9 @@ class TestVerify:
 
     def test_inputs_are_released_after_their_last_reader(self, monkeypatch):
         """The closed-form values are last read by substitute[...] and the
-        knot-step sequences by interleave[...]; neither outlives its readers."""
+        knot-step sequences by interleave[...]; neither outlives its readers.
+        Besides the 11 values of each family, each substitute[...] obligation
+        builds P(1) and P(3) of its two families."""
 
         class TrackedPoly(LaurentPoly):
             __slots__ = ("__weakref__",)
@@ -472,9 +474,9 @@ class TestVerify:
         monkeypatch.setattr(FamilySpec, "value", tracked_value)
         monkeypatch.setattr(FamilySpec, "sequence", tracked_sequence)
         monkeypatch.setattr(cli, "verify_q_recurrence", probe("q-number-recurrence", cli.verify_q_recurrence))
-        monkeypatch.setattr(cli, "l_to_k", probe("k-roundtrip", cli.l_to_k))
+        monkeypatch.setattr(cli, "k_to_l", probe("k-roundtrip", cli.k_to_l))
         assert all(report.passed for report in run_verification(21))
-        assert len(values) == 4 * 11 and len(sequences) == 4
+        assert len(values) == 4 * 11 + 3 * 4 and len(sequences) == 4
         assert alive == {"q-number-recurrence": (0, 4), "k-roundtrip": (0, 0)}
 
 

@@ -65,6 +65,24 @@ class TestUVNumber:
         assert uv_number(3, T, parse("t", VarContext(("t",)))) == parse("3*t^2", CTX_T)
 
 
+def test_named_builders_check_their_pairs_once(monkeypatch):
+    # The pairs of q_number, qp_number and jones_number were checked when
+    # they were built; uv_number checks the pair it is given on every call.
+    for var in ("q", "t"):
+        q_number(1, var)
+
+    def refuse(u, v):
+        raise AssertionError("checked a pair again")
+
+    monkeypatch.setattr(qnumbers, "_checked", refuse)
+    assert [q_number(3).num_terms, q_number(3, "t").num_terms] == [3, 3]
+    assert [qp_number(3).num_terms, jones_number(3).num_terms] == [3, 3]
+    with pytest.raises(AssertionError):
+        uv_number(3, T, T)
+    with pytest.raises(ValueError):
+        qp_number(-1)
+
+
 def test_builders_of_one_context_object_never_compare_contexts(monkeypatch):
     # uv_number and the coefficient pairs settle one context object by
     # identity, without calling VarContext.__eq__.

@@ -34,8 +34,10 @@ FIELDS = {
     VarContext: ("names",),
     SkeinPair: ("l1", "l2"),
     KnotStepPair: ("k1", "k2"),
-    FamilySpec: ("name", "context", "skein_form", "skein", "knot_step", "closed_form", "hopf", "ansatz"),
-    CheckReport: ("name", "checked", "failure"),
+    FamilySpec: (
+        "name", "context", "skein_form", "skein", "knot_step", "closed_form", "lucas_pair", "hopf", "ansatz",
+    ),
+    CheckReport: ("name", "checked", "failure", "proved_for"),
     OutputRecord: ("family", "n", "polynomial", "representation"),
 }
 
@@ -66,10 +68,11 @@ def test_positional_and_keyword_construction_agree(record):
 
 
 def test_defaults():
-    spec = FamilySpec("demo", CTX_T, (A, A, B), SkeinPair(A, B), KnotStepPair(A, B), JONES.closed_form)
+    step = KnotStepPair(A, B)
+    spec = FamilySpec("demo", CTX_T, (A, A, B), SkeinPair(A, B), step, JONES.closed_form, step)
     assert spec.hopf is None and spec.ansatz is None
     report = CheckReport("demo", 7)
-    assert report.failure == "" and report.passed
+    assert report.failure == "" and report.proved_for == "" and report.passed
 
 
 @pytest.mark.parametrize(
@@ -122,7 +125,7 @@ def test_repr_names_every_field():
     assert repr(SkeinPair(A, B)) == (
         "SkeinPair(l1=LaurentPoly(('t',), 't^2 - 1'), l2=LaurentPoly(('t',), '-t^(1/2)'))"
     )
-    assert repr(CheckReport("demo", 3)) == "CheckReport(name='demo', checked=3, failure='')"
+    assert repr(CheckReport("demo", 3)) == "CheckReport(name='demo', checked=3, failure='', proved_for='')"
     assert repr(OutputRecord("jones", 3, A, "text")) == (
         "OutputRecord(family='jones', n=3, polynomial=LaurentPoly(('t',), 't^2 - 1'), representation='text')"
     )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from torkit import compare
+from torkit.report import prove, unmet
 
 
 def test_counts_every_case_and_keeps_the_first_failure():
@@ -56,3 +57,21 @@ def test_an_error_building_a_case_propagates():
 
     with pytest.raises(ZeroDivisionError):
         compare("demo", cases())
+
+
+def test_an_obligation_reports_its_first_unmet_equality():
+    assert unmet([("a = a", 1, 1), ("b = c", 2, 3), ("d = e", 4, 5)]) == "obligation b = c fails: 2 != 3"
+    assert unmet([("a = a", 1, 1)]) == ""
+
+
+def test_a_proved_check_counts_its_samples():
+    report = prove("demo", "", [(1, 2, 2), (3, 4, 4)], "all odd n")
+    assert report.passed and report.checked == 2
+    assert report.format_line() == "PASS demo (proved for all odd n; 2 cases sampled)"
+
+
+def test_a_sampled_mismatch_is_reported_before_the_obligation():
+    report = prove("demo", "obligation b = c fails: 2 != 3", [(1, 2, 2), (3, 4, 5)], "all n")
+    assert report.format_line() == "FAIL demo: first counterexample at n=3: 4 != 5"
+    report = prove("demo", "obligation b = c fails: 2 != 3", [(1, 2, 2)], "all n")
+    assert report.format_line() == "FAIL demo: obligation b = c fails: 2 != 3"

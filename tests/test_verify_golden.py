@@ -12,30 +12,30 @@ import pytest
 from torkit.cli import main
 
 VERIFY_N_MAX_5 = """\
-PASS closed-form-vs-recurrence[alexander] (3 cases)
-PASS closed-form-vs-recurrence[generalized-alexander] (3 cases)
-PASS closed-form-vs-recurrence[jones] (3 cases)
-PASS closed-form-vs-recurrence[homfly] (3 cases)
-PASS substitute[generalized-alexander->alexander] (3 cases)
-PASS substitute[generalized-alexander->jones] (3 cases)
-PASS substitute[homfly->generalized-alexander] (3 cases)
+PASS closed-form-vs-recurrence[alexander] (proved for all odd n; 3 cases sampled)
+PASS closed-form-vs-recurrence[generalized-alexander] (proved for all odd n; 3 cases sampled)
+PASS closed-form-vs-recurrence[jones] (proved for all odd n; 3 cases sampled)
+PASS closed-form-vs-recurrence[homfly] (proved for all odd n; 3 cases sampled)
+PASS substitute[generalized-alexander->alexander] (proved for all odd n; 3 cases sampled)
+PASS substitute[generalized-alexander->jones] (proved for all odd n; 3 cases sampled)
+PASS substitute[homfly->generalized-alexander] (proved for all odd n; 3 cases sampled)
 PASS q-number-recurrence (5 cases)
 PASS qp-number-recurrence (5 cases)
 PASS qp-number-reduces-to-q (6 cases)
 PASS ansatz[alexander] (3 cases)
 PASS ansatz[generalized-alexander] (3 cases)
 PASS ansatz[jones] (3 cases)
-PASS interleave[alexander] (3 cases)
-PASS interleave[jones] (3 cases)
-PASS interleave[homfly] (3 cases)
+PASS interleave[alexander] (proved for all odd n; 3 cases sampled)
+PASS interleave[jones] (proved for all odd n; 3 cases sampled)
+PASS interleave[homfly] (proved for all odd n; 3 cases sampled)
 PASS k-roundtrip[alexander] (1 cases)
 PASS k-roundtrip[generalized-alexander] (1 cases)
 PASS k-roundtrip[jones] (1 cases)
 PASS k-roundtrip[homfly] (1 cases)
-PASS skein-form[alexander] (3 cases)
-PASS skein-form[generalized-alexander] (3 cases)
-PASS skein-form[jones] (3 cases)
-PASS skein-form[homfly] (3 cases)
+PASS skein-form[alexander] (proved for all n; 3 cases sampled)
+PASS skein-form[generalized-alexander] (proved for all n; 3 cases sampled)
+PASS skein-form[jones] (proved for all n; 3 cases sampled)
+PASS skein-form[homfly] (proved for all n; 3 cases sampled)
 24/24 checks passed
 """
 
