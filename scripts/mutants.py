@@ -312,6 +312,20 @@ MUTANTS = [
         f"{OBLIGATION_TESTS}::test_substitution_obligation_checks_k2",
     ),
     (
+        "obligations: the qp reduction's without its phi(-qp) = -1 equality",
+        CLI,
+        """        ("phi(-qp) = -1", mapping(qp_number(3) - qp2 * qp2), q_number(3, "t") - t2 * t2),\n""",
+        "",
+        f"{OBLIGATION_TESTS}::test_qp_reduction_obligation_checks_phi_of_minus_qp",
+    ),
+    (
+        "obligations: the ansatz's without a1*k1 - a2 = P(3)",
+        CLI,
+        """        ("a1*k1 - a2 = P(3)", a1 * k1 - a2, k1 + k2),\n""",
+        "",
+        f"{OBLIGATION_TESTS}::test_a_wrong_ansatz_a2_fails_its_ansatz_line",
+    ),
+    (
         "obligations: interleave's without l_to_k(skein) == knot_step",
         CLI,
         """        ("l_to_k(skein) = knot_step", _pair(l_to_k(spec.skein)), _pair(spec.knot_step)),\n""",

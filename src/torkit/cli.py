@@ -163,6 +163,35 @@ def substitution_obligation(
     ])
 
 
+def qp_reduction_obligation(mapping: Callable[[LaurentPoly], LaurentPoly]) -> str:
+    """phi carries the (q,p)-numbers' Lucas pair (U_2, U_3 - U_2^2) =
+    (q + p, -qp) onto the q-numbers' pair in t, (t + t^(-1), -1), and [0]
+    and [1] onto [0] and [1]: then phi([n]_{q,p}) = [n]_t for every n, both
+    sides stepping by one pair from the same two values.  unmet's text, ""
+    when it holds."""
+    qp2, t2 = qp_number(2), q_number(2, "t")
+    return unmet([
+        ("phi(q + p) = t + t^(-1)", mapping(qp2), t2),
+        ("phi(-qp) = -1", mapping(qp_number(3) - qp2 * qp2), q_number(3, "t") - t2 * t2),
+        ("phi([0]) = [0]", mapping(qp_number(0)), q_number(0, "t")),
+        ("phi([1]) = [1]", mapping(qp_number(1)), q_number(1, "t")),
+    ])
+
+
+def ansatz_obligation(spec: FamilySpec) -> str:
+    """a1 = P(1) and a1*k1 - a2 = P(3), with (a1, a2) = spec.ansatz and P the
+    knot step's: the ansatz a1 [m+1] - a2 [m] is a1 at m = 0 and a1*k1 - a2
+    at m = 1, and once solve_parameters(knot_step) has split k1 = qhat + phat
+    with qhat*phat = -k2, [m]_{qhat,phat} steps by the knot step, so the
+    ansatz is P(2m+1) for every m.  unmet's text, "" when it holds."""
+    a1, a2 = spec.ansatz
+    k1, k2 = spec.knot_step.k1, spec.knot_step.k2
+    return unmet([
+        ("a1 = P(1)", a1, LaurentPoly.one(k1.context)),
+        ("a1*k1 - a2 = P(3)", a1 * k1 - a2, k1 + k2),
+    ])
+
+
 def interleave_obligation(spec: FamilySpec) -> str:
     """l_to_k(skein) == knot_step and l1*hopf = l1^2 + l2 - l2^2: then the
     odd entries of the full step from (1, hopf) step by the knot step from
@@ -196,27 +225,36 @@ def run_verification(
     built once, inside the guard of the first check that reads them, shared
     by the checks after it, and released after the last.
 
-    Four kinds of check are proved for every n by a finite obligation, each
+    Six kinds of check are proved for every n by a finite obligation, each
     resting on one fact: two sequences that step by the same order-2
     recurrence and agree at two starting values agree everywhere.  The
     obligation of each, and what it assumes:
 
     - closed-form-vs-recurrence[f]: closed_form_obligation.  It assumes U is
       the Lucas sequence of lucas_pair, so this check still sweeps every odd
-      n <= n_max; that sweep and the q/qp-number checks test the Lucas code.
+      n <= n_max; that sweep and the q/qp-number-recurrence checks, which
+      keep every n, test the Lucas code.
     - substitute[S->T]: substitution_obligation.  It assumes the map is a
       ring homomorphism; the tests check each substitution kernel against a
       term-by-term expansion with schoolbook products.
+    - qp-number-reduces-to-q, for every n, not only odd n:
+      qp_reduction_obligation(to_alexander).  It assumes to_alexander is a
+      ring homomorphism and that [n]_{q,p} and [n]_t are the Lucas
+      sequences of their pairs, which the two recurrence checks test.
+    - ansatz[f], for each family with an ansatz: solve_parameters, which
+      raises unless [m]_{qhat,phat} steps by the knot step, then
+      ansatz_obligation.
     - interleave[f], for each family with a hopf value: interleave_obligation.
     - skein-form[f], for every n, not only odd n: skein_form_obligation.
 
-    The interleave and skein-form obligations assume laurent._steps steps
-    its recurrence correctly; the tests check it against a naive stepper.
-    The substitute, interleave and skein-form checks evaluate their identity
-    only at sample(n_max, ...): every odd n (every n >= 3 for skein-form) up
-    to 21, and n_max.  A sampled mismatch fails a proved check with its
-    first counterexample; failing that, an unmet obligation fails it and
-    names the equality, with both sides.
+    The ansatz, interleave and skein-form obligations assume laurent._steps
+    steps its recurrence correctly; the tests check it against a naive
+    stepper.  Every proved check but the closed form evaluates its identity
+    only at sample(n_max, ...): every odd n (every n for the qp reduction,
+    every n >= 3 for skein-form) up to 21, and n_max; the ansatz fit runs
+    on the knot step's entries there.  A sampled mismatch fails a proved
+    check with its first counterexample; failing that, an unmet obligation
+    fails it and names the equality, with both sides.
     """
     if odd_index(n_max) < 1:
         raise InvalidTorusIndex(f"verification needs n_max >= 3, got {n_max}: fit_ansatz needs T(3,2)")
@@ -250,17 +288,21 @@ def run_verification(
         return prove(name, obligation, ((n, mapping(lhs[n]), rhs[n]) for n in ns), "all odd n")
 
     def qp_reduction(name: str) -> CheckReport:
-        cases = ((n, to_alexander(qp_number(n)), q_number(n, "t")) for n in range(n_max + 1))
-        return compare(name, cases)
+        cases = ((n, to_alexander(qp_number(n)), q_number(n, "t")) for n in sample(n_max, 0, 1))
+        return prove(name, qp_reduction_obligation(to_alexander), cases, "all n")
 
     def ansatz(name: str, family: str) -> CheckReport:
+        # Solve, fit, compare, then the obligation: the first step that fails
+        # names the failure, so a wrong knot step reads as solve_parameters'
+        # error and a wrong registry pair as the fit against it.
         spec = reg[family]
         qhat, phat = solve_parameters(spec.knot_step)
-        a1, a2 = fit_ansatz(recurrence(family), qhat, phat)
+        seq = recurrence(family)
+        a1, a2 = fit_ansatz({n: seq[n] for n in odd}, qhat, phat)
         failure = ""
         if (a1, a2) != spec.ansatz:
             failure = counterexample(1, f"(a1, a2) = ({a1}, {a2})", "({}, {})".format(*spec.ansatz))
-        return CheckReport(name, (n_max + 1) // 2, failure)
+        return CheckReport(name, len(odd), failure or ansatz_obligation(spec), "all odd n")
 
     def roundtrip(name: str, family: str) -> CheckReport:
         k = l_to_k(reg[family].skein)

@@ -341,7 +341,8 @@ class TestVerify:
         _, out, _ = run(capsys, "verify", "--n-max", "5")
         ansatz_lines = [line for line in out.splitlines() if "ansatz[" in line]
         assert ansatz_lines == [
-            f"PASS ansatz[{f}] (3 cases)" for f in ("alexander", "generalized-alexander", "jones")
+            f"PASS ansatz[{f}] (proved for all odd n; 3 cases sampled)"
+            for f in ("alexander", "generalized-alexander", "jones")
         ]
 
     def test_a_failing_report_holds_one_counterexample(self):

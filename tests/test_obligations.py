@@ -1,6 +1,6 @@
 """The finite obligations that prove verify's closed-form, substitute,
-interleave and skein-form lines for every n, and the samples those lines
-still evaluate.
+qp-reduction, ansatz, interleave and skein-form lines for every n, and the
+samples those lines still evaluate.
 
 Each obligation is derived again here with schoolbook products and a
 term-by-term substitution, so that the proof does not rest only on the
@@ -15,11 +15,13 @@ import pytest
 from conftest import CTX_AZ, CTX_QP, CTX_T
 from test_laurent_properties import naive_substitute
 from test_multiply import schoolbook_mul as mul
-from torkit import FAMILIES, KnotStepPair, LaurentPoly, parse
+from torkit import FAMILIES, KnotStepPair, LaurentPoly, parse, qp_number, solve_parameters, to_alexander
 from torkit import cli
 from torkit.cli import (
+    ansatz_obligation,
     closed_form_obligation,
     interleave_obligation,
+    qp_reduction_obligation,
     run_verification,
     sample,
     skein_form_obligation,
@@ -47,6 +49,7 @@ MAPS = {
 }
 
 HOPF = [name for name, spec in FAMILIES.items() if spec.hopf is not None]
+ANSATZ = [name for name, spec in FAMILIES.items() if spec.ansatz is not None]
 
 
 def lucas_pair(family: str) -> tuple[LaurentPoly, LaurentPoly]:
@@ -99,6 +102,37 @@ def test_substitution_obligation_holds(key):
     assert substitution_obligation(mapping, FAMILIES[source], FAMILIES[target]) == ""
 
 
+def test_qp_reduction_obligation_holds():
+    # [n]_{q,p} and [n]_t are the Lucas sequences of the generalized and
+    # alexander families: their pairs, with [0] = 0 and [1] = 1, derived again.
+    context, assignments = MAPS["generalized-alexander", "alexander"]
+    values = {name: parse(text, context) for name, text in assignments.items()}
+    _, u2, u3 = LUCAS["generalized-alexander"]
+    assert [qp_number(n) for n in range(4)] == [
+        LaurentPoly.zero(CTX_QP), LaurentPoly.one(CTX_QP), parse(u2, CTX_QP), parse(u3, CTX_QP)
+    ]
+    inputs = (*lucas_pair("generalized-alexander"), LaurentPoly.zero(CTX_QP), LaurentPoly.one(CTX_QP))
+    images = [naive_substitute(f, context, values) for f in inputs]
+    assert images == [*lucas_pair("alexander"), LaurentPoly.zero(CTX_T), LaurentPoly.one(CTX_T)]
+    assert [to_alexander(f) for f in inputs] == images
+    assert qp_reduction_obligation(to_alexander) == ""
+
+
+@pytest.mark.parametrize("family", ANSATZ)
+def test_ansatz_obligation_holds(family):
+    spec = FAMILIES[family]
+    context, u2, _ = LUCAS[family]
+    k1, k2 = knot_step(family)
+    # [m]_{qhat,phat} steps by the knot step: [2] = qhat + phat = k1, qhat*phat = -k2.
+    qhat, phat = solve_parameters(spec.knot_step)
+    assert qhat + phat == parse(u2, context) == k1
+    assert mul(qhat, phat) == -k2
+    # The ansatz at m = 0 and m = 1 against the knot step's P(1) = 1 and P(3) = k1 + k2.
+    a1, a2 = spec.ansatz
+    assert (a1, mul(a1, k1) - a2) == (LaurentPoly.one(context), k1 + k2)
+    assert ansatz_obligation(spec) == ""
+
+
 @pytest.mark.parametrize("family", HOPF)
 def test_interleave_obligation_holds(family):
     spec = FAMILIES[family]
@@ -135,6 +169,27 @@ def test_substitution_obligation_checks_k2():
     mapping = cli._CONVERSIONS["generalized-alexander", "jones"]
     assert substitution_obligation(mapping, source, wrong) == (
         "obligation phi(k2') = k2' fails: -t^4 != -t^4 + 1"
+    )
+
+
+def test_qp_reduction_obligation_checks_phi_of_minus_qp():
+    # A ring homomorphism that meets the other three equalities.
+    values = {"q": parse("t + t^(-1) - 1", CTX_T), "p": parse("1", CTX_T)}
+    assert qp_reduction_obligation(lambda f: naive_substitute(f, CTX_T, values)) == (
+        "obligation phi(-qp) = -1 fails: -t + 1 - t^(-1) != -1"
+    )
+
+
+def test_a_wrong_ansatz_a2_fails_its_ansatz_line():
+    spec = FAMILIES["jones"]
+    a1, a2 = spec.ansatz
+    registry = {**FAMILIES, "jones": spec.replace(ansatz=(a1, a2 + 1))}
+    assert failing_lines(run_verification(5, registry)) == [
+        "FAIL ansatz[jones]: first counterexample at n=1: (a1, a2) = (1, t^4) != (1, t^4 + 1)"
+    ]
+    # The obligation fails too, on its own.
+    assert ansatz_obligation(registry["jones"]) == (
+        "obligation a1*k1 - a2 = P(3) fails: -t^4 + t^3 + t - 1 != -t^4 + t^3 + t"
     )
 
 
@@ -212,11 +267,15 @@ def test_proved_lines_count_their_samples():
     )
     assert lines["interleave[jones]"] == "PASS interleave[jones] (proved for all odd n; 12 cases sampled)"
     assert lines["skein-form[alexander]"] == "PASS skein-form[alexander] (proved for all n; 20 cases sampled)"
+    assert lines["qp-number-reduces-to-q"] == "PASS qp-number-reduces-to-q (proved for all n; 23 cases sampled)"
+    assert lines["ansatz[generalized-alexander]"] == (
+        "PASS ansatz[generalized-alexander] (proved for all odd n; 12 cases sampled)"
+    )
     # The closed form keeps its sweep of every odd n: it alone tests the Lucas code at every n.
     assert lines["closed-form-vs-recurrence[jones]"] == (
         "PASS closed-form-vs-recurrence[jones] (proved for all odd n; 21 cases sampled)"
     )
-    assert sum("proved" in line for line in lines.values()) == 14
+    assert sum("proved" in line for line in lines.values()) == 18
 
 
 def test_a_mismatch_at_n_max_alone_is_sampled(monkeypatch):
@@ -232,3 +291,35 @@ def test_a_mismatch_at_n_max_alone_is_sampled(monkeypatch):
     lines = failing_lines(run_verification(25))
     assert [line.split(":")[0] for line in lines] == ["FAIL substitute[homfly->generalized-alexander]"]
     assert "first counterexample at n=25: " in lines[0]
+
+
+def test_a_reduction_wrong_past_21_is_caught_at_n_max(monkeypatch):
+    # The qp line looks to_alexander up when it runs; the substitute line
+    # keeps the map _CONVERSIONS holds.
+    real = cli.to_alexander
+    monkeypatch.setattr(cli, "to_alexander", lambda f: real(f) + (1 if f.num_terms > 21 else 0))
+    assert qp_number(21).num_terms == 21 < qp_number(22).num_terms
+    lines = failing_lines(run_verification(25))
+    assert [line.split(":")[0] for line in lines] == ["FAIL qp-number-reduces-to-q"]
+    assert "first counterexample at n=25: " in lines[0]
+
+
+def test_the_sampled_sweeps_still_call_to_alexander_and_fit_ansatz(monkeypatch):
+    # The traced benchmark run of verify needs both layers to record calls.
+    mapped, fitted = [], []
+    real_map, real_fit = cli.to_alexander, cli.fit_ansatz
+
+    def to_alexander(f):
+        mapped.append(f)
+        return real_map(f)
+
+    def fit_ansatz(seq, qhat, phat):
+        fitted.append(sorted(seq))
+        return real_fit(seq, qhat, phat)
+
+    monkeypatch.setattr(cli, "to_alexander", to_alexander)
+    monkeypatch.setattr(cli, "fit_ansatz", fit_ansatz)
+    assert all(report.passed for report in run_verification(41))
+    # The obligation maps four polynomials, then the sweep maps each sampled [n]_{q,p}.
+    assert mapped[4:] == [qp_number(n) for n in sample(41, 0, 1)]
+    assert fitted == [sample(41, 1, 2)] * len(ANSATZ)

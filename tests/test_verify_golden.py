@@ -21,10 +21,10 @@ PASS substitute[generalized-alexander->jones] (proved for all odd n; 3 cases sam
 PASS substitute[homfly->generalized-alexander] (proved for all odd n; 3 cases sampled)
 PASS q-number-recurrence (5 cases)
 PASS qp-number-recurrence (5 cases)
-PASS qp-number-reduces-to-q (6 cases)
-PASS ansatz[alexander] (3 cases)
-PASS ansatz[generalized-alexander] (3 cases)
-PASS ansatz[jones] (3 cases)
+PASS qp-number-reduces-to-q (proved for all n; 6 cases sampled)
+PASS ansatz[alexander] (proved for all odd n; 3 cases sampled)
+PASS ansatz[generalized-alexander] (proved for all odd n; 3 cases sampled)
+PASS ansatz[jones] (proved for all odd n; 3 cases sampled)
 PASS interleave[alexander] (proved for all odd n; 3 cases sampled)
 PASS interleave[jones] (proved for all odd n; 3 cases sampled)
 PASS interleave[homfly] (proved for all odd n; 3 cases sampled)
